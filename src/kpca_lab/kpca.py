@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import sym_eig
-from .kernels import KernelSpec, center_cross, center_gram, kernel_matrix
+from .kernels import KernelSpec, center_cross, center_gram, kernel_matrix, sq_dist_blocks
 
 # Components with raw centered-Gram eigenvalue <= DROP_RTOL * largest are
 # treated as numerically zero and dropped.
@@ -55,15 +55,16 @@ class KpcaModel:
 
     ``coefficients`` is N x M with column k holding a_k; ``eigenvalues`` are
     the lambda_k of the eigenproblem (raw Gram eigenvalue / N), descending.
-    ``train_gram`` caches the uncentered training kernel matrix for centering
-    out-of-sample rows.
+    ``train_col_means`` holds the N column means of the uncentered training
+    kernel matrix, all that centering out-of-sample rows needs; the N x N
+    Gram itself is not kept.
     """
 
     training: np.ndarray
     spec: KernelSpec
     coefficients: np.ndarray
     eigenvalues: np.ndarray
-    train_gram: np.ndarray
+    train_col_means: np.ndarray
 
     @property
     def n_samples(self) -> int:
@@ -103,10 +104,20 @@ class PreimageResult(NamedTuple):
     converged: bool
 
 
+def gram_col_means(k: np.ndarray) -> np.ndarray:
+    """Column means of a symmetric training Gram, as :class:`KpcaModel` keeps them.
+
+    Fitting and model loading both go through this one expression, so a
+    loaded model transforms bit-identically to the fitted one.
+    """
+    return k.mean(axis=1)
+
+
 def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     """Fit kernel PCA with up to ``m`` components.
 
-    Steps: build the kernel matrix, center it, eigendecompose, keep the top
+    Steps: build the kernel matrix, keep its column means, center it (the
+    raw Gram is not kept), eigendecompose, keep the top
     components with positive raw eigenvalue, and rescale each eigenvector
     alpha_k (unit norm from the solver) to a_k = alpha_k / sqrt(raw_k) so
     that lambda_k * N * |a_k|^2 = 1.
@@ -125,7 +136,9 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     if not 1 <= m <= n:
         raise ValueError(f"components M={m} outside [1, N] = [1, {n}]")
     k = kernel_matrix(spec, x, x)
-    dec = sym_eig(center_gram(k))
+    col_means = gram_col_means(k)
+    k = center_gram(k)  # rebinding frees the raw Gram before the eigensolve
+    dec = sym_eig(k)
     raw = dec.values
     cutoff = DROP_RTOL * max(raw[0], 0.0)
     keep = [i for i in range(m) if raw[i] > cutoff and raw[i] > 0.0]
@@ -137,7 +150,7 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
         spec=spec,
         coefficients=coeffs,
         eigenvalues=values,
-        train_gram=k,
+        train_col_means=col_means,
     )
 
 
@@ -156,7 +169,7 @@ def kpca_transform(model: KpcaModel, q: np.ndarray) -> np.ndarray:
             f"expected {model.n_features} features, got {q.shape[1]}"
         )
     k_test = kernel_matrix(model.spec, q, model.training)
-    return center_cross(k_test, model.train_gram) @ model.coefficients
+    return center_cross(k_test, model.train_col_means) @ model.coefficients
 
 
 def preimage_weights(model: KpcaModel, y: np.ndarray) -> np.ndarray:
@@ -229,7 +242,10 @@ def select_sigma(x: np.ndarray) -> float:
     """Gaussian width heuristic: 5 x mean nearest-neighbor distance.
 
     The nearest neighbor of row i is the closest row with a different index,
-    so duplicate rows contribute zero distance.
+    so duplicate rows contribute zero distance.  Neighbors are found on the
+    blocked squared distances of :func:`kernels.sq_dist_blocks`; each
+    distance is then recomputed from the explicit difference x_i - x_j, so
+    it carries no cancellation error and a duplicate's is exactly 0.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -237,9 +253,12 @@ def select_sigma(x: np.ndarray) -> float:
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 rows, got {n}")
-    nn = np.empty(n)
-    for i in range(n):
-        d2 = ((x - x[i]) ** 2).sum(axis=1)
-        d2[i] = np.inf
-        nn[i] = np.sqrt(d2.min())
-    return 5.0 * float(nn.mean())
+    nearest = np.empty(n, dtype=np.intp)
+    for i0, i1, _, d2 in sq_dist_blocks(x, x):
+        rows = np.arange(i0, i1)
+        d2[rows - i0, rows] = np.inf
+        nearest[i0:i1] = d2.argmin(axis=1)
+    diff = x[nearest]
+    diff -= x
+    diff *= diff
+    return 5.0 * float(np.sqrt(diff.sum(axis=1)).mean())

@@ -15,8 +15,9 @@ Layout (all integers and reals little-endian):
                   pca  -> mean (D), basis (D*M), eigenvalues (M)
                   kpca -> training (N*D), coefficients (N*M), eigenvalues (M)
 
-The kernel-PCA training Gram matrix is not stored; loading rebuilds it
-through the same kernel code path, which is deterministic.
+The kernel-PCA training Gram's column means are not stored; loading
+rebuilds the Gram through the same deterministic kernel code path and takes
+its means with the same expression as fitting, then drops it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import KernelSpec, kernel_matrix
-from .kpca import KpcaModel
+from .kpca import KpcaModel, gram_col_means
 from .pca import PcaModel
 
 MAGIC = b"KPML"
@@ -111,6 +112,6 @@ def load_model(path: str | Path) -> PcaModel | KpcaModel:
             spec=spec,
             coefficients=coeffs,
             eigenvalues=values,
-            train_gram=kernel_matrix(spec, training, training),
+            train_col_means=gram_col_means(kernel_matrix(spec, training, training)),
         )
     raise ModelFormatError(f"unknown model kind {kind}")

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from kpca_lab import kernels
 from kpca_lab.kernels import (
     KernelSpec,
     center_cross,
     center_gram,
     eval_kernel,
     kernel_matrix,
+    sq_dists,
 )
+from kpca_lab.kpca import select_sigma
+
+
+def explicit_sq_dists(a, b):
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
 def test_spec_constructors_validate():
@@ -129,14 +137,15 @@ def test_center_cross_of_training_row_matches_training_centering():
     k = kernel_matrix(KernelSpec.gaussian(1.1), x, x)
     kc = center_gram(k)
     k_test = kernel_matrix(KernelSpec.gaussian(1.1), x[2:3], x)
-    assert np.allclose(center_cross(k_test, k), kc[2:3], atol=1e-12)
+    assert np.allclose(center_cross(k_test, k.mean(axis=0)), kc[2:3], atol=1e-12)
 
 
 def test_center_cross_identical_points_zero():
     x = np.ones((5, 2))
     k = kernel_matrix(KernelSpec.gaussian(1.0), x, x)
     k_test = kernel_matrix(KernelSpec.gaussian(1.0), np.ones((3, 2)), x)
-    assert np.allclose(center_cross(k_test, k), np.zeros((3, 5)), atol=1e-12)
+    assert np.allclose(center_cross(k_test, k.mean(axis=0)), np.zeros((3, 5)),
+                       atol=1e-12)
 
 
 def test_center_cross_matches_brute_force():
@@ -156,12 +165,15 @@ def test_center_cross_matches_brute_force():
                 - sum(k_test[t, j] for j in range(n)) / n
                 + sum(k[j, l] for j in range(n) for l in range(n)) / n**2
             )
-    assert np.allclose(center_cross(k_test, k), expected, atol=1e-12)
+    # Only the training Gram's column means enter the centering.
+    assert np.allclose(center_cross(k_test, k.mean(axis=0)), expected, atol=1e-12)
 
 
 def test_center_cross_shape_mismatch():
     with pytest.raises(ValueError):
-        center_cross(np.zeros((3, 4)), np.zeros((5, 5)))
+        center_cross(np.zeros((3, 4)), np.zeros(5))
+    with pytest.raises(ValueError):
+        center_cross(np.zeros((3, 5)), np.zeros((5, 5)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -174,3 +186,81 @@ def test_center_gram_idempotent_and_psd(seed, n):
     kc = center_gram(k)
     assert np.abs(center_gram(kc) - kc).max() <= 1e-9
     assert np.linalg.eigvalsh((kc + kc.T) / 2.0).min() >= -1e-8
+
+
+# Coordinates in [-1e3, 1e3]; magnitudes below 1e-6 are flushed to 0 so no
+# product underflows and the tolerance below stays meaningful.
+_coords = st.floats(-1e3, 1e3).map(lambda v: 0.0 if abs(v) < 1e-6 else v)
+
+
+@st.composite
+def row_pairs(draw):
+    d = draw(st.integers(1, 5))
+    a = draw(arrays(np.float64, (draw(st.integers(1, 9)), d), elements=_coords))
+    b = draw(arrays(np.float64, (draw(st.integers(1, 9)), d), elements=_coords))
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_pairs())
+def test_sq_dists_matches_explicit_differences(pair):
+    a, b = pair
+    scale = max((a * a).sum(axis=1).max(), (b * b).sum(axis=1).max())
+    for x, y in ((a, b), (a, a)):
+        got = sq_dists(x, y)
+        assert got.shape == (x.shape[0], y.shape[0])
+        assert np.abs(got - explicit_sq_dists(x, y)).max() <= 1e-12 * scale
+        assert got.min() >= 0.0
+
+
+def test_sq_dists_self_case_across_blocks(monkeypatch):
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((11, 3))
+    q = rng.standard_normal((5, 3))
+    full = sq_dists(x, x)
+    sigma = select_sigma(x)
+    # Four rows per block: 11 is not a multiple, and the self case crosses
+    # three diagonal blocks.
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4 * 11)
+    blocked = sq_dists(x, x)
+    assert np.array_equal(blocked, blocked.T)
+    assert np.array_equal(np.diag(blocked), np.zeros(11))
+    assert np.allclose(blocked, full, rtol=0.0, atol=1e-13)
+    assert np.allclose(sq_dists(q, x), explicit_sq_dists(q, x), rtol=0.0, atol=1e-13)
+    k = kernel_matrix(KernelSpec.gaussian(0.9), x, x)
+    assert np.array_equal(k, k.T)
+    assert np.array_equal(np.diag(k), np.ones(11))
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 1)  # one row per block
+    assert np.allclose(sq_dists(x, x), full, rtol=0.0, atol=1e-13)
+    assert select_sigma(x) == sigma
+
+
+def test_sq_dists_edge_shapes():
+    rng = np.random.default_rng(18)
+    a = rng.standard_normal((6, 4))
+    one = rng.standard_normal((1, 4))
+    assert np.allclose(sq_dists(one, a), explicit_sq_dists(one, a), atol=1e-13)
+    assert np.allclose(sq_dists(a, one), explicit_sq_dists(a, one), atol=1e-13)
+    assert np.array_equal(sq_dists(one, one), np.zeros((1, 1)))
+    col = np.array([[0.0], [1.0], [3.0]])
+    assert np.allclose(sq_dists(col, col),
+                       np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 4.0], [9.0, 4.0, 0.0]]),
+                       rtol=0.0, atol=1e-13)
+    with pytest.raises(ValueError):
+        sq_dists(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+def test_distances_far_from_origin_match_unshifted():
+    rng = np.random.default_rng(19)
+    # On a 2^-20 grid, so adding 1e6 is exact and only the distance
+    # computation can differ between the two copies.
+    x = np.round(rng.standard_normal((40, 6)) * 2.0**20) / 2.0**20
+    far = x + 1e6
+    assert np.array_equal(far - 1e6, x)
+    spec = KernelSpec.gaussian(1.5)
+    k, k_far = kernel_matrix(spec, x, x), kernel_matrix(spec, far, far)
+    assert np.abs(k_far - k).max() <= 1e-9 * np.abs(k).max()
+    q, q_far = x[:7] + 0.25, far[:7] + 0.25
+    assert np.abs(kernel_matrix(spec, q_far, far) - kernel_matrix(spec, q, x)).max() \
+        <= 1e-9 * np.abs(k).max()
+    assert select_sigma(far) == pytest.approx(select_sigma(x), rel=1e-9)

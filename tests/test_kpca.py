@@ -214,14 +214,32 @@ def test_select_sigma_duplicates_contribute_zero():
     assert sigma == pytest.approx(5.0 / 3.0, rel=1e-12)
 
 
+def test_select_sigma_duplicates_far_from_origin_exactly_zero():
+    # With numpy/OpenBLAS the mean-shifted matrix product gives this
+    # duplicate pair a squared distance of 8.9e-16, not 0; select_sigma must
+    # still equal the explicit-difference heuristic exactly.
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((12, 7)) + 1e3
+    x[1] = x[0]
+    nn = []
+    for i in range(x.shape[0]):
+        d2 = ((x - x[i]) ** 2).sum(axis=1)
+        d2[i] = np.inf
+        nn.append(np.sqrt(d2.min()))
+    assert nn[0] == nn[1] == 0.0
+    assert select_sigma(x) == 5.0 * float(np.mean(nn))
+
+
 def test_select_sigma_needs_two_rows():
     with pytest.raises(ValueError):
         select_sigma(np.array([[1.0, 2.0]]))
 
 
-def test_train_gram_is_uncentered_kernel_matrix():
+def test_train_col_means_are_uncentered_gram_means():
     rng = np.random.default_rng(36)
     x = rng.standard_normal((7, 2))
     spec = KernelSpec.gaussian(1.2)
     model = fit_kpca(x, spec, 3)
-    assert np.array_equal(model.train_gram, kernel_matrix(spec, x, x))
+    k = kernel_matrix(spec, x, x)
+    assert np.array_equal(model.train_col_means, k.mean(axis=1))
+    assert np.allclose(model.train_col_means, k.mean(axis=0), rtol=1e-14)
