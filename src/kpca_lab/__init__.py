@@ -22,6 +22,7 @@ from .kpca import (
     UnsupportedKernelError,
     fit_kpca,
     kpca_preimage,
+    kpca_preimages,
     kpca_transform,
     select_sigma,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "gen_two_spheres",
     "kernel_matrix",
     "kpca_preimage",
+    "kpca_preimages",
     "kpca_transform",
     "normalize_shapes",
     "pca_project",

@@ -27,9 +27,8 @@ from .kernels import KernelSpec
 from .kpca import (
     KpcaModel,
     PreimageConfig,
-    PreimageDivergenceError,
     fit_kpca,
-    kpca_preimage,
+    kpca_preimages,
     kpca_transform,
     select_sigma,
 )
@@ -45,7 +44,6 @@ from .shapes import (
     sweep_kpca_feature,
     sweep_pca_feature,
 )
-from .util import parallel_map
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -228,37 +226,13 @@ def cmd_preimage(args) -> int:
     model = load_model(args.model)
     if not isinstance(model, KpcaModel) or model.spec.kind != "gaussian":
         raise ValueError("pre-images need a gaussian kernel-PCA model")
-    y = read_csv_matrix(args.input)
-    if y.shape[1] != model.n_components:
-        raise ValueError(
-            f"feature rows have {y.shape[1]} columns, model retains "
-            f"{model.n_components} components"
-        )
     cfg = PreimageConfig(max_iterations=args.max_iter, tolerance=args.tol)
-
-    def run_row(row):
-        try:
-            return kpca_preimage(model, row, cfg)
-        except PreimageDivergenceError as exc:
-            return exc
-
-    results = parallel_map(run_row, list(y))
+    z, iterations, status = kpca_preimages(model, read_csv_matrix(args.input), cfg)
+    z[status == "diverged"] = np.nan
+    rows_report = [{"row": i, "status": s, "iterations": n} for i, (s, n)
+                   in enumerate(zip(status.tolist(), iterations.tolist()))]
+    failed = np.flatnonzero(status != "converged").tolist()
     out = _prepare_out(args.out)
-    z = np.full((y.shape[0], model.n_features), np.nan)
-    rows_report = []
-    failed = []
-    for i, res in enumerate(results):
-        if isinstance(res, PreimageDivergenceError):
-            rows_report.append({"row": i, "status": "diverged",
-                                "iterations": res.iteration})
-            failed.append(i)
-        else:
-            z[i] = res.z
-            status = "converged" if res.converged else "max-iterations"
-            rows_report.append({"row": i, "status": status,
-                                "iterations": res.iterations})
-            if not res.converged:
-                failed.append(i)
     preimages_path = out / "preimages.csv"
     report_path = out / "report.json"
     write_csv_matrix(z, preimages_path)

@@ -69,10 +69,15 @@ def _mirror_upper(k: np.ndarray) -> np.ndarray:
     return np.triu(k) + np.triu(k, 1).T
 
 
-# Entries per block temporary (2 MB of float64).  A block takes
-# _BLOCK_ENTRIES // max(rows of b, D) rows of a, at least one, so both its
-# distance block and its shifted rows of a stay within this size.
+# Entries per block temporary (2 MB of float64).  A block of rows that each
+# meet n rows of dimension d takes _BLOCK_ENTRIES // max(n, d) of them, at
+# least one, so its n-wide and d-wide temporaries both stay within this size.
 _BLOCK_ENTRIES = 1 << 18
+
+
+def block_rows(n: int, d: int) -> int:
+    """Rows per block for rows that each meet ``n`` rows of dimension ``d``."""
+    return max(1, _BLOCK_ENTRIES // max(n, d, 1))
 
 
 def sq_dist_blocks(a: np.ndarray, b: np.ndarray, upper: bool = False):
@@ -89,7 +94,7 @@ def sq_dist_blocks(a: np.ndarray, b: np.ndarray, upper: bool = False):
     shift = b.mean(axis=0)
     b = b - shift
     nb = np.einsum("ij,ij->i", b, b)
-    step = max(1, _BLOCK_ENTRIES // max(b.shape[0], b.shape[1], 1))
+    step = block_rows(*b.shape)
     for i0 in range(0, a.shape[0], step):
         i1 = min(i0 + step, a.shape[0])
         if same:
@@ -169,8 +174,8 @@ def center_gram(k: np.ndarray) -> np.ndarray:
     """Center a square kernel matrix so the implicit features have zero mean.
 
     Equivalent to K - J K - K J + J K J with J the all-1/N matrix; computed
-    via row/column means.  Output rows and columns sum to ~0 and symmetry is
-    preserved exactly.  The result is the only N x N array allocated.
+    via row/column means.  Output rows and columns sum to ~0 and the result
+    is symmetric to rounding.  The result is the only N x N array allocated.
     """
     k = _as_matrix(k, "k")
     if k.shape[0] != k.shape[1]:

@@ -15,6 +15,9 @@ Because fitting centers the Gram matrix, the plain coefficient weights
 gamma_i = sum_k y_k a_ki are adjusted to g_i = gamma_i - mean(gamma) + 1/N;
 this accounts for the implicit feature mean and keeps pre-images anchored to
 the data region.
+
+:func:`kpca_preimages` iterates a batch of rows on the distances of
+:func:`kernels.sq_dists`; :func:`kpca_preimage` is its one-row form.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import sym_eig
-from .kernels import KernelSpec, center_cross, center_gram, kernel_matrix, sq_dist_blocks
+from .kernels import (KernelSpec, block_rows, center_cross, center_gram,
+                      kernel_matrix, sq_dist_blocks, sq_dists)
 
 # Components with raw centered-Gram eigenvalue <= DROP_RTOL * largest are
 # treated as numerically zero and dropped.
@@ -173,69 +177,101 @@ def kpca_transform(model: KpcaModel, q: np.ndarray) -> np.ndarray:
 
 
 def preimage_weights(model: KpcaModel, y: np.ndarray) -> np.ndarray:
-    """Centering-adjusted pre-image weights for a feature vector ``y``.
+    """Centering-adjusted pre-image weights for a feature vector or T x M rows.
 
     gamma_i = sum_k y_k a_ki, shifted by -mean(gamma) + 1/N to account for
-    the centered fit (see module docstring).
+    the centered fit (see module docstring); one row of N weights per row of
+    ``y``, or N weights for a vector.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != model.n_components:
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] != model.n_components:
         raise ValueError(
-            f"expected {model.n_components} feature values, got {y.shape[0]}"
+            f"expected {model.n_components} feature values per row, "
+            f"got shape {y.shape}"
         )
-    gamma = model.coefficients @ y
-    return gamma - gamma.mean() + 1.0 / model.n_samples
+    gamma = y @ model.coefficients.T
+    return gamma - gamma.mean(axis=-1, keepdims=True) + 1.0 / model.n_samples
 
 
-def kpca_preimage(
-    model: KpcaModel, y: np.ndarray, cfg: PreimageConfig | None = None
-) -> PreimageResult:
-    """Approximate input-space pre-image of the feature vector ``y``.
+def kpca_preimages(
+    model: KpcaModel, ys: np.ndarray, cfg: PreimageConfig | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-images of the T x M feature rows ``ys``: T x D ``z``, T iterations, T statuses.
 
-    Runs the gaussian fixed-point iteration until the step norm drops below
-    ``cfg.tolerance`` or ``cfg.max_iterations`` is reached; the flag in the
-    result records which.  Raises :class:`UnsupportedKernelError` for
-    non-gaussian models and :class:`PreimageDivergenceError` when all
-    gaussian weights underflow (iterate far outside the data region).
+    A row is ``"converged"`` once its step norm drops below
+    ``cfg.tolerance``, ``"diverged"`` when its gaussian weight mass is lost
+    (``z`` keeps that iterate) and ``"max-iterations"`` otherwise.  Finished
+    rows leave the batch, so no row's iterations depend on the others.
+    Rows run in chunks of :func:`kernels.block_rows`, which keeps each
+    chunk x N temporary near 2 MB.  Raises :class:`UnsupportedKernelError`
+    for non-gaussian models.
     """
     if model.spec.kind != "gaussian":
         raise UnsupportedKernelError(
             f"pre-images are only defined for the gaussian kernel, "
             f"model uses {model.spec.kind!r}"
         )
-    if cfg is None:
-        cfg = PreimageConfig()
-    weights = preimage_weights(model, y)
+    cfg = cfg or PreimageConfig()
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 2:
+        raise ValueError(f"feature rows must be 2-D, got shape {ys.shape}")
     x = model.training
-    if cfg.initial is not None:
-        z = np.asarray(cfg.initial, dtype=float).ravel().copy()
-        if z.shape[0] != model.n_features:
-            raise ValueError(
-                f"initial point has {z.shape[0]} features, expected {model.n_features}"
-            )
-    else:
-        z = x.mean(axis=0)
-    inv = 1.0 / (2.0 * model.spec.width**2)
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        d2 = ((x - z) ** 2).sum(axis=1)
-        w = weights * np.exp(-d2 * inv)
-        denom = w.sum()
-        if not np.isfinite(denom) or abs(denom) < _DENOM_FLOOR:
-            raise PreimageDivergenceError(
-                f"pre-image iteration {iterations} diverged: weight mass "
-                f"{denom!r} at iterate {z.tolist()}",
-                iterate=z,
-                iteration=iterations,
-            )
-        z_next = (w @ x) / denom
-        step = float(np.linalg.norm(z_next - z))
-        z = z_next
-        if step < cfg.tolerance:
-            converged = True
-            break
-    return PreimageResult(z=z, iterations=iterations, converged=converged)
+    start = x.mean(axis=0) if cfg.initial is None \
+        else np.asarray(cfg.initial, dtype=float).ravel()
+    if start.shape[0] != model.n_features:
+        raise ValueError(
+            f"initial point has {start.shape[0]} features, expected {model.n_features}"
+        )
+    t = ys.shape[0]
+    z = np.tile(start, (t, 1))
+    iterations = np.zeros(t, dtype=int)
+    status = np.full(t, "max-iterations")
+    scale = -1.0 / (2.0 * model.spec.width**2)
+    chunk = block_rows(*x.shape)
+    for c0 in range(0, t, chunk):
+        active = np.arange(c0, min(c0 + chunk, t))
+        weights = preimage_weights(model, ys[active])
+        for iteration in range(1, cfg.max_iterations + 1):
+            z_active = z[active]
+            w = sq_dists(z_active, x)
+            w *= scale
+            np.exp(w, out=w)
+            w *= weights
+            denom = w.sum(axis=1)
+            iterations[active] = iteration
+            ok = np.isfinite(denom) & (np.abs(denom) >= _DENOM_FLOOR)
+            if not ok.all():
+                status[active[~ok]] = "diverged"
+                active, weights, z_active, w, denom = (
+                    v[ok] for v in (active, weights, z_active, w, denom))
+            z_next = (w @ x) / denom[:, None]
+            done = np.linalg.norm(z_next - z_active, axis=1) < cfg.tolerance
+            z[active] = z_next
+            status[active[done]] = "converged"
+            active, weights = active[~done], weights[~done]
+            if not active.size:
+                break
+    return z, iterations, status
+
+
+def kpca_preimage(
+    model: KpcaModel, y: np.ndarray, cfg: PreimageConfig | None = None
+) -> PreimageResult:
+    """Pre-image of the feature vector ``y``: the one-row :func:`kpca_preimages`.
+
+    Raises :class:`PreimageDivergenceError` where that reports ``"diverged"``.
+    """
+    z, iterations, status = kpca_preimages(
+        model, np.asarray(y, dtype=float).reshape(1, -1), cfg)
+    if status[0] == "diverged":
+        raise PreimageDivergenceError(
+            f"pre-image iteration {iterations[0]} diverged: weight mass lost "
+            f"at iterate {z[0].tolist()}",
+            iterate=z[0],
+            iteration=int(iterations[0]),
+        )
+    return PreimageResult(z=z[0], iterations=int(iterations[0]),
+                          converged=status[0] == "converged")
 
 
 def select_sigma(x: np.ndarray) -> float:

@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import pca
-from .kpca import KpcaModel, PreimageConfig, kpca_preimage, kpca_transform
-from .util import parallel_map
+from .kpca import KpcaModel, PreimageConfig, kpca_preimages, kpca_transform
 
 
 class PtsParseError(ValueError):
@@ -194,9 +193,10 @@ def sweep_kpca_feature(
     The sweep range is the training mean of feature k plus/minus ``c``
     training standard deviations (population convention), sampled uniformly
     with endpoints included; all other features stay at their training
-    means.  Each sampled feature vector goes through the gaussian pre-image
-    iteration; a divergence is re-raised with the failing step index.
-    Steps are independent, so they may run on the ``KPCA_LAB_THREADS`` pool.
+    means.  The sampled feature vectors go through the gaussian pre-image
+    iteration as one batch.  A step that diverges or runs out of iterations
+    raises :class:`RuntimeError` naming the step by its 1-based number, the
+    NN of the ``step_NN.svg`` the CLI renders it to.
     """
     if not 1 <= k <= kmodel.n_components:
         raise ValueError(f"feature index {k} outside [1, {kmodel.n_components}]")
@@ -207,20 +207,18 @@ def sweep_kpca_feature(
     y_train = kpca_transform(kmodel, kmodel.training)
     y_mean = y_train.mean(axis=0)
     y_std = y_train.std(axis=0)
-    values = np.linspace(y_mean[k - 1] - c * y_std[k - 1],
-                         y_mean[k - 1] + c * y_std[k - 1], steps)
-
-    def reconstruct(step_and_value):
-        step, value = step_and_value
-        y = y_mean.copy()
-        y[k - 1] = value
-        try:
-            result = kpca_preimage(kmodel, y, cfg)
-        except Exception as exc:
-            raise RuntimeError(f"pre-image failed at sweep step {step}") from exc
-        return result.z
-
-    return parallel_map(reconstruct, list(enumerate(values)))
+    ys = np.tile(y_mean, (steps, 1))
+    ys[:, k - 1] = np.linspace(y_mean[k - 1] - c * y_std[k - 1],
+                               y_mean[k - 1] + c * y_std[k - 1], steps)
+    z, iterations, status = kpca_preimages(kmodel, ys, cfg)
+    failed = np.flatnonzero(status != "converged")
+    if failed.size:
+        i = failed[0]
+        raise RuntimeError(
+            f"pre-image failed at sweep step {i + 1} of {steps}: "
+            f"{status[i]} after {iterations[i]} iterations"
+        )
+    return list(z)
 
 
 def fit_parabola(points: np.ndarray) -> tuple[float, float, float]:

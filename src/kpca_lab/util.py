@@ -2,38 +2,16 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-THREADS_ENV = "KPCA_LAB_THREADS"
-
-
-def thread_cap() -> int:
-    """Worker cap from the KPCA_LAB_THREADS env var; 1 (serial) by default."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {cap}")
-    return cap
-
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map a pure function over items, fanning out to threads when allowed.
+    """Map a function over items in order, serially; exceptions propagate.
 
-    Results come back in input order regardless of the worker count, so the
-    output is independent of KPCA_LAB_THREADS.
+    The package no longer calls this; it stays for code that imports or
+    wraps it, such as the span tracer in ``perfbench/spans.py``.
     """
-    workers = min(thread_cap(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

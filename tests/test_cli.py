@@ -284,6 +284,15 @@ def test_asm_sweep_kpca_differs_from_pca(tmp_path):
     assert manifest["parameters"]["sigma"] > 0.0
 
 
+def test_asm_sweep_kpca_unconverged_step_fails(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    status = main(["asm-sweep", "--pts-dir", CORPUS_DIR, "--method", "kpca",
+                   "--max-iter", "1", "--out", str(out)])
+    assert status == 1
+    assert "sweep step 1 of 5: max-iterations" in capsys.readouterr().err
+    assert not list(out.glob("step_*.svg"))
+
+
 def test_asm_sweep_role_map_file(tmp_path):
     roles = tmp_path / "roles.txt"
     roles.write_text("\n".join([

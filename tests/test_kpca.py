@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kpca_lab import kpca
 from kpca_lab.data import SpheresParams, gen_two_spheres
 from kpca_lab.kernels import KernelSpec, kernel_matrix
 from kpca_lab.kpca import (
@@ -9,6 +10,7 @@ from kpca_lab.kpca import (
     UnsupportedKernelError,
     fit_kpca,
     kpca_preimage,
+    kpca_preimages,
     kpca_transform,
     preimage_weights,
     select_sigma,
@@ -183,6 +185,72 @@ def test_preimage_custom_initial_point():
     assert np.linalg.norm(seeded.z - x[2]) <= 1e-3
     # starting next to the answer cannot take longer than the mean start
     assert seeded.iterations <= default.iterations
+
+
+def test_preimage_initial_point_wrong_length_rejected():
+    x = small_spheres(seed=8)
+    model = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), 3)
+    y = kpca_transform(model, x[:4])
+    with pytest.raises(ValueError, match="initial point"):
+        kpca_preimages(model, y, PreimageConfig(initial=np.zeros(2)))
+    with pytest.raises(ValueError, match="initial point"):
+        kpca_preimage(model, y[0], PreimageConfig(initial=np.zeros(4)))
+
+
+def reference_preimage(model, y, cfg):
+    """The per-row fixed point with explicit differences, as (z, iterations, status)."""
+    x = model.training
+    gamma = model.coefficients @ y
+    weights = gamma - gamma.mean() + 1.0 / model.n_samples
+    z = x.mean(axis=0)
+    inv = 1.0 / (2.0 * model.spec.width**2)
+    for iteration in range(1, cfg.max_iterations + 1):
+        w = weights * np.exp(-((x - z) ** 2).sum(axis=1) * inv)
+        denom = w.sum()
+        if not np.isfinite(denom) or abs(denom) < 1e-300:
+            return z, iteration, "diverged"
+        z_next = (w @ x) / denom
+        step = np.linalg.norm(z_next - z)
+        z = z_next
+        if step < cfg.tolerance:
+            return z, iteration, "converged"
+    return z, cfg.max_iterations, "max-iterations"
+
+
+def mixed_status_batch():
+    """Two-spheres N=300 rows whose pre-images converge, diverge or run out."""
+    x = gen_two_spheres(SpheresParams(n=300, seed=1)).features
+    model = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), 2)
+    return model, kpca_transform(model, x), PreimageConfig(max_iterations=25)
+
+
+def assert_same_preimages(batch, z, iterations, status):
+    batch_z, batch_iterations, batch_status = batch
+    assert batch_status.tolist() == list(status)
+    assert batch_iterations.tolist() == list(iterations)
+    # A diverged row's iterate has been thrown far out (|z| in the thousands
+    # here), so it is compared relative to its size; every other row to 1e-10.
+    far = np.asarray(status) == "diverged"
+    assert np.abs(batch_z[~far] - z[~far]).max() <= 1e-10
+    assert np.abs(batch_z[far] - z[far]).max() <= 1e-12 * np.abs(z[far]).max()
+
+
+def test_kpca_preimages_match_per_row_reference():
+    model, y, cfg = mixed_status_batch()
+    batch = kpca_preimages(model, y, cfg)
+    ref = [reference_preimage(model, row, cfg) for row in y]
+    z, iterations, status = (list(col) for col in zip(*ref))
+    assert set(status) == {"converged", "diverged", "max-iterations"}
+    assert_same_preimages(batch, np.array(z), iterations, status)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_kpca_preimages_independent_of_chunk(monkeypatch, chunk):
+    model, y, cfg = mixed_status_batch()
+    whole = kpca_preimages(model, y, cfg)
+    # 300 rows: chunks of 7 leave a short last chunk.
+    monkeypatch.setattr(kpca, "block_rows", lambda n, d: chunk)
+    assert_same_preimages(kpca_preimages(model, y, cfg), *whole)
 
 
 def test_preimage_config_validation():

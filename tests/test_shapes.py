@@ -209,8 +209,13 @@ def test_kpca_sweep_divergence_carries_step_index():
     x = np.array([[0.0], [1.0]])
     model = fit_kpca(x, KernelSpec.gaussian(0.05), 1)
     cfg = PreimageConfig(max_iterations=50)
-    with pytest.raises(RuntimeError, match="step"):
+    with pytest.raises(RuntimeError, match="sweep step 1 of 3: diverged"):
         sweep_kpca_feature(model, 1, 1e8, 3, cfg)
+    # running out of iterations fails the sweep too; steps are 1-based
+    xs = np.vstack(load_corpus())
+    kmodel = fit_kpca(xs, KernelSpec.gaussian(select_sigma(xs)), 4)
+    with pytest.raises(RuntimeError, match="sweep step 1 of 5: max-iterations after 1 "):
+        sweep_kpca_feature(kmodel, 1, 500.0, 5, PreimageConfig(max_iterations=1))
 
 
 def test_pts_round_trip(tmp_path):

@@ -1,42 +1,13 @@
 import pytest
 
-from kpca_lab.util import THREADS_ENV, parallel_map, thread_cap
+from kpca_lab.util import parallel_map
 
 
-def test_default_cap_is_serial(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert thread_cap() == 1
-
-
-def test_env_override(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "4")
-    assert thread_cap() == 4
-
-
-@pytest.mark.parametrize("bad", ["0", "-2", "x", "1.5", ""])
-def test_invalid_env_rejected(monkeypatch, bad):
-    monkeypatch.setenv(THREADS_ENV, bad)
-    with pytest.raises(ValueError):
-        thread_cap()
-
-
-def test_parallel_map_serial_order(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
+def test_parallel_map_serial_order():
     assert parallel_map(lambda v: v * v, [3, 1, 2]) == [9, 1, 4]
 
 
-def test_parallel_map_threaded_matches_serial(monkeypatch):
-    items = list(range(40))
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    serial = parallel_map(lambda v: v * 7 - 1, items)
-    monkeypatch.setenv(THREADS_ENV, "4")
-    threaded = parallel_map(lambda v: v * 7 - 1, items)
-    assert threaded == serial
-
-
-def test_parallel_map_propagates_exceptions(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "3")
-
+def test_parallel_map_propagates_exceptions():
     def boom(v):
         raise RuntimeError(f"bad item {v}")
 
