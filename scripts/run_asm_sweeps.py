@@ -5,7 +5,7 @@ Fits a point-distribution model and a gaussian-kernel feature model to the
 landmark corpus, walks the leading features of each, reconstructs faces
 along the walk (kernel features via fixed-point pre-images), and writes
 one SVG per step plus a per-feature displacement summary.  Output lands in
-<out>/<method>_feature_<k>/step_<i>.svg.
+<out>/<method>_feature_<k>/step_NN.svg, NN = 01, 02, ... as in the CLI.
 """
 
 import argparse
@@ -31,9 +31,9 @@ from kpca_lab.shapes import (  # noqa: E402
 
 def write_strip(out_dir: Path, steps: list[np.ndarray]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, shape in enumerate(steps):
+    for i, shape in enumerate(steps, start=1):
         svg = render_face_svg(shape, BIOID_20_ROLES)
-        (out_dir / f"step_{i}.svg").write_text(svg)
+        (out_dir / f"step_{i:02d}.svg").write_text(svg)
 
 
 def main() -> int:

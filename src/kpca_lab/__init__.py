@@ -37,7 +37,6 @@ from .data import (
 )
 from .shapes import (
     LandmarkRoleMap,
-    ShapeModel,
     fit_shape_model,
     normalize_shapes,
     read_pts,
@@ -58,7 +57,6 @@ __all__ = [
     "PreimageConfig",
     "PreimageDivergenceError",
     "PreimageResult",
-    "ShapeModel",
     "SpheresParams",
     "UnsupportedKernelError",
     "center_cross",

@@ -59,8 +59,8 @@ def _write_manifest(out_dir: Path, subcommand: str, parameters: dict,
         "outputs": [str(p) for p in outputs],
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="ascii")
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="ascii")
     return path
 
 
@@ -142,15 +142,21 @@ def cmd_gen_spheres(args) -> int:
     return 0
 
 
+def _parse_sigma(arg: str, x: np.ndarray) -> float:
+    if arg == "auto":
+        return select_sigma(x)
+    try:
+        return float(arg)
+    except ValueError:
+        raise ValueError(f"--sigma must be 'auto' or a number, got {arg!r}") from None
+
+
 def _resolve_kernel(args, x: np.ndarray) -> tuple[KernelSpec, float | None]:
     if args.kernel == "linear":
         return KernelSpec.linear(), None
     if args.kernel == "poly":
         return KernelSpec.polynomial(args.degree, args.offset), None
-    if args.sigma == "auto":
-        sigma = select_sigma(x)
-    else:
-        sigma = float(args.sigma)
+    sigma = _parse_sigma(args.sigma, x)
     return KernelSpec.gaussian(sigma), sigma
 
 
@@ -257,12 +263,7 @@ def cmd_asm_sweep(args) -> int:
     pts_files = sorted(Path(args.pts_dir).glob("*.pts"))
     if len(pts_files) < 2:
         raise ValueError(f"need at least 2 PTS files in {args.pts_dir}")
-    shapes = []
-    for path in pts_files:
-        try:
-            shapes.append(read_pts(path))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    shapes = [read_pts(path) for path in pts_files]
     try:
         normalized = normalize_shapes(shapes)
     except ValueError as exc:
@@ -277,7 +278,7 @@ def cmd_asm_sweep(args) -> int:
         model = fit_shape_model(normalized, t)
         swept = sweep_pca_feature(model, args.feature, args.steps)
     else:
-        sigma = select_sigma(x) if args.sigma == "auto" else float(args.sigma)
+        sigma = _parse_sigma(args.sigma, x)
         kmodel = fit_kpca(x, KernelSpec.gaussian(sigma), min(args.m, x.shape[0]))
         swept = sweep_kpca_feature(kmodel, args.feature, args.c, args.steps, cfg)
     out = _prepare_out(args.out)

@@ -17,7 +17,7 @@ import numpy as np
 
 
 class CsvParseError(ValueError):
-    """Malformed numeric CSV; the message carries the 1-based line number."""
+    """Malformed numeric CSV; the message carries the path and 1-based line number."""
 
 
 class PgmParseError(ValueError):
@@ -53,12 +53,12 @@ class SpheresParams:
     def __post_init__(self):
         if self.n <= 0 or self.n % 2 != 0:
             raise ValueError(f"n must be a positive even integer, got {self.n}")
-        if not self.r1 > 0.0 or not self.r2 > 0.0:
-            raise ValueError("radii must be positive")
+        if not (0.0 < self.r1 < np.inf and 0.0 < self.r2 < np.inf):
+            raise ValueError(f"radii must be finite and > 0: r1={self.r1}, r2={self.r2}")
         if self.r1 == self.r2:
             raise ValueError("radii must differ")
-        if self.noise < 0.0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
+        if not 0.0 <= self.noise < np.inf:
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
 
 
 def _box_muller(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -117,8 +117,8 @@ def write_csv_matrix(m: np.ndarray, path: str | Path) -> None:
 def read_csv_matrix(path: str | Path) -> np.ndarray:
     """Read a headerless numeric CSV into an N x D float matrix.
 
-    Raises :class:`CsvParseError` (with a line number) for ragged rows,
-    non-numeric cells, or an empty file.
+    Raises :class:`CsvParseError` (with the path and a line number) for
+    ragged rows, non-numeric cells, or an empty file.
     """
     rows: list[list[float]] = []
     with open(path, "r", encoding="ascii") as fh:
@@ -130,14 +130,15 @@ def read_csv_matrix(path: str | Path) -> np.ndarray:
             try:
                 row = [float(c) for c in cells]
             except ValueError as exc:
-                raise CsvParseError(f"line {lineno}: non-numeric cell ({exc})") from None
+                raise CsvParseError(
+                    f"{path}: line {lineno}: non-numeric cell ({exc})") from None
             if rows and len(row) != len(rows[0]):
                 raise CsvParseError(
-                    f"line {lineno}: expected {len(rows[0])} cells, got {len(row)}"
+                    f"{path}: line {lineno}: {len(row)} cells, expected {len(rows[0])}"
                 )
             rows.append(row)
     if not rows:
-        raise CsvParseError("no data rows found")
+        raise CsvParseError(f"{path}: no data rows found")
     return np.array(rows, dtype=float)
 
 
@@ -164,10 +165,16 @@ def read_pgm(path: str | Path) -> np.ndarray:
     """Read a P2 (ASCII) or P5 (binary) PGM image as a flat intensity vector.
 
     Pixels are returned row-major as floats in [0, maxval]; 16-bit binary
-    samples are big-endian per the format.  Raises :class:`PgmParseError`
-    on malformed headers or truncated payloads.
+    samples are big-endian per the format.  Raises :class:`PgmParseError`,
+    naming the path, on malformed headers or truncated payloads.
     """
-    data = Path(path).read_bytes()
+    try:
+        return _parse_pgm(Path(path).read_bytes())
+    except PgmParseError as exc:
+        raise PgmParseError(f"{path}: {exc}") from None
+
+
+def _parse_pgm(data: bytes) -> np.ndarray:
     tokens = _pgm_header_tokens(data)
     try:
         magic, _ = next(tokens)

@@ -12,7 +12,7 @@ class KernelSpec:
     """Tagged choice of kernel: linear, polynomial (x.y + c)^d, or gaussian.
 
     Use the classmethod constructors; they validate the parameters that
-    matter for each kind (degree >= 1, offset >= 0, width > 0).
+    matter for each kind (degree >= 1, finite offset >= 0, finite width > 0).
     """
 
     kind: str
@@ -28,14 +28,14 @@ class KernelSpec:
     def polynomial(cls, degree: int, offset: float = 0.0) -> "KernelSpec":
         if degree < 1:
             raise ValueError(f"polynomial degree must be >= 1, got {degree}")
-        if offset < 0.0:
-            raise ValueError(f"polynomial offset must be >= 0, got {offset}")
+        if not 0.0 <= offset < np.inf:
+            raise ValueError(f"polynomial offset must be finite and >= 0, got {offset}")
         return cls(kind="polynomial", degree=int(degree), offset=float(offset))
 
     @classmethod
     def gaussian(cls, width: float) -> "KernelSpec":
-        if not width > 0.0:
-            raise ValueError(f"gaussian width must be > 0, got {width}")
+        if not 0.0 < width < np.inf:
+            raise ValueError(f"gaussian width must be finite and > 0, got {width}")
         return cls(kind="gaussian", width=float(width))
 
     def __post_init__(self):

@@ -98,8 +98,8 @@ class PreimageConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 class PreimageResult(NamedTuple):

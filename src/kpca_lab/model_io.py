@@ -77,7 +77,13 @@ def _take(buf: bytes, offset: int, count: int, shape: tuple[int, ...]) -> tuple[
 
 
 def load_model(path: str | Path) -> PcaModel | KpcaModel:
-    buf = Path(path).read_bytes()
+    try:
+        return _parse_model(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
+
+
+def _parse_model(buf: bytes) -> PcaModel | KpcaModel:
     if len(buf) < _HEADER.size:
         raise ModelFormatError("file shorter than header")
     magic, version, kind, kcode, degree, offset, width, d0, d1, d2 = \

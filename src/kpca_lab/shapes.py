@@ -4,8 +4,9 @@ A shape with n landmarks is stored as the flat 2n-vector
 [x1, y1, ..., xn, yn] (float64 ndarray).  Landmark y grows downward, image
 style, which also matches SVG canvas coordinates.
 
-The deformation model is plain PCA over normalized shape vectors: mean
-shape, orthonormal deformation basis, eigenvalues with the 1/N convention.
+The point-distribution model is the :class:`pca.PcaModel` of
+:func:`fit_shape_model`: ``mean`` is the mean shape, ``basis`` the
+orthonormal deformation modes, ``eigenvalues`` their 1/N variances.
 Deformation weights b_k are conventionally limited to +/- 3 sqrt(lambda_k).
 """
 
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import pca
-from .kpca import KpcaModel, PreimageConfig, kpca_preimages, kpca_transform
+from .kpca import KpcaModel, PreimageConfig, kpca_preimages
 
 
 class PtsParseError(ValueError):
@@ -27,19 +28,6 @@ class PtsParseError(ValueError):
 
 class RoleMapError(ValueError):
     """Malformed or inconsistent landmark role map."""
-
-
-@dataclass(frozen=True)
-class ShapeModel:
-    """Mean shape (2n,), deformation basis (2n x t), descending eigenvalues (t,)."""
-
-    mean_shape: np.ndarray
-    basis: np.ndarray
-    eigenvalues: np.ndarray
-
-    @property
-    def n_modes(self) -> int:
-        return self.basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -129,7 +117,7 @@ def normalize_shapes(shapes: Sequence[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def fit_shape_model(shapes: Sequence[np.ndarray], t: int) -> ShapeModel:
+def fit_shape_model(shapes: Sequence[np.ndarray], t: int) -> pca.PcaModel:
     """PCA deformation model over aligned, normalized shape vectors."""
     if len(shapes) < 2:
         raise ValueError("need at least 2 shapes")
@@ -139,46 +127,47 @@ def fit_shape_model(shapes: Sequence[np.ndarray], t: int) -> ShapeModel:
             raise ValueError(
                 f"shape {idx} has {s.size // 2} points, expected {n // 2}"
             )
-    x = np.vstack([np.asarray(s, dtype=float) for s in shapes])
-    model = pca.fit_pca(x, t)
-    return ShapeModel(mean_shape=model.mean, basis=model.basis,
-                      eigenvalues=model.eigenvalues)
+    return pca.fit_pca(np.vstack(shapes), t)
 
 
-def clamp_deformation(model: ShapeModel, b: np.ndarray) -> np.ndarray:
+def clamp_deformation(model: pca.PcaModel, b: np.ndarray) -> np.ndarray:
     """Clip each weight into [-3 sqrt(lambda_k), +3 sqrt(lambda_k)]."""
     limit = 3.0 * np.sqrt(model.eigenvalues)
     return np.clip(np.asarray(b, dtype=float), -limit, limit)
 
 
-def synthesize(model: ShapeModel, b: np.ndarray, clamp: bool = False) -> np.ndarray:
+def synthesize(model: pca.PcaModel, b: np.ndarray, clamp: bool = False) -> np.ndarray:
     """Shape for deformation weights b: mean + basis . b, optionally clamped."""
     b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != model.n_modes:
-        raise ValueError(f"expected {model.n_modes} weights, got {b.shape[0]}")
+    if b.shape[0] != model.n_components:
+        raise ValueError(f"expected {model.n_components} weights, got {b.shape[0]}")
     if clamp:
         b = clamp_deformation(model, b)
-    return model.mean_shape + model.basis @ b
+    return pca.pca_reconstruct(model, b)
 
 
-def sweep_pca_feature(model: ShapeModel, k: int, steps: int) -> list[np.ndarray]:
+def _sweep_rows(eigenvalues: np.ndarray, k: int, half: float, steps: int) -> np.ndarray:
+    """Rows sweeping feature k (1-based) over +/- half sqrt(lambda_k); others 0."""
+    m = eigenvalues.shape[0]
+    if not 1 <= k <= m:
+        raise ValueError(f"feature index {k} outside [1, {m}]")
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    limit = half * np.sqrt(eigenvalues[k - 1])
+    rows = np.zeros((steps, m))
+    rows[:, k - 1] = np.linspace(-limit, limit, steps)
+    return rows
+
+
+def sweep_pca_feature(model: pca.PcaModel, k: int, steps: int) -> list[np.ndarray]:
     """Sweep deformation mode k (1-based) across its +/- 3 sqrt(lambda) range.
 
     Returns ``steps`` shapes with b_k linearly spaced over the limit
     interval, endpoints included, and every other weight zero.  With an odd
     step count the middle shape is exactly the mean shape.
     """
-    if not 1 <= k <= model.n_modes:
-        raise ValueError(f"feature index {k} outside [1, {model.n_modes}]")
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    limit = 3.0 * np.sqrt(model.eigenvalues[k - 1])
-    out = []
-    for value in np.linspace(-limit, limit, steps):
-        b = np.zeros(model.n_modes)
-        b[k - 1] = value
-        out.append(synthesize(model, b))
-    return out
+    rows = _sweep_rows(model.eigenvalues, k, 3.0, steps)
+    return list(pca.pca_reconstruct(model, rows))
 
 
 def sweep_kpca_feature(
@@ -193,23 +182,17 @@ def sweep_kpca_feature(
     The sweep range is the training mean of feature k plus/minus ``c``
     training standard deviations (population convention), sampled uniformly
     with endpoints included; all other features stay at their training
-    means.  The sampled feature vectors go through the gaussian pre-image
-    iteration as one batch.  A step that diverges or runs out of iterations
-    raises :class:`RuntimeError` naming the step by its 1-based number, the
-    NN of the ``step_NN.svg`` the CLI renders it to.
+    means.  The spectrum gives these without transforming the training set:
+    1^T K~ = 0 makes every mean 0, and K~ a_k = N lambda_k a_k with
+    N lambda_k |a_k|^2 = 1 makes the std of feature k sqrt(lambda_k).  The
+    rows go through the gaussian pre-image iteration as one batch.  A step
+    that diverges or runs out of iterations raises :class:`RuntimeError`
+    naming the step by its 1-based number, the NN of the ``step_NN.svg``
+    the CLI renders it to.
     """
-    if not 1 <= k <= kmodel.n_components:
-        raise ValueError(f"feature index {k} outside [1, {kmodel.n_components}]")
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    if not c > 0.0:
-        raise ValueError(f"c must be > 0, got {c}")
-    y_train = kpca_transform(kmodel, kmodel.training)
-    y_mean = y_train.mean(axis=0)
-    y_std = y_train.std(axis=0)
-    ys = np.tile(y_mean, (steps, 1))
-    ys[:, k - 1] = np.linspace(y_mean[k - 1] - c * y_std[k - 1],
-                               y_mean[k - 1] + c * y_std[k - 1], steps)
+    if not 0.0 < c < np.inf:
+        raise ValueError(f"c must be finite and > 0, got {c}")
+    ys = _sweep_rows(kmodel.eigenvalues, k, c, steps)
     z, iterations, status = kpca_preimages(kmodel, ys, cfg)
     failed = np.flatnonzero(status != "converged")
     if failed.size:
@@ -339,9 +322,13 @@ def parse_pts(text: str, source: str = "<string>") -> np.ndarray:
 
 
 def read_pts(path: str | Path) -> np.ndarray:
-    """Read one PTS landmark file as a flat shape vector."""
+    """Read one PTS landmark file as a flat shape vector; errors name the path."""
     path = Path(path)
-    return parse_pts(path.read_text(encoding="ascii"), source=path.name)
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise PtsParseError(f"{path}: {exc}") from None
+    return parse_pts(text, source=str(path))
 
 
 def write_pts(shape: np.ndarray, path: str | Path) -> None:

@@ -150,17 +150,17 @@ def test_criterion_5_shape_model_identity_and_sweep_geometry():
     # full-rank model reproduces every training shape
     worst = 0.0
     for s in shapes:
-        b = model.basis.T @ (s - model.mean_shape)
-        rebuilt = model.mean_shape + model.basis @ b
+        b = model.basis.T @ (s - model.mean)
+        rebuilt = model.mean + model.basis @ b
         worst = max(worst, float(np.abs(rebuilt - s).max()))
     assert worst <= 1e-8
 
     for k in (1, 2, 3):
         swept = sweep_pca_feature(model, k, 5)
-        assert np.array_equal(swept[2], model.mean_shape)
+        assert np.array_equal(swept[2], model.mean)
         bound = 3.0 * np.sqrt(model.eigenvalues[k - 1])
         for end, sign in ((swept[0], -1.0), (swept[-1], 1.0)):
-            b = model.basis.T @ (end - model.mean_shape)
+            b = model.basis.T @ (end - model.mean)
             assert b[k - 1] == pytest.approx(sign * bound, rel=1e-9)
             off = np.delete(b, k - 1)
             assert np.abs(off).max() <= 1e-9

@@ -259,7 +259,7 @@ def test_asm_sweep_pca(tmp_path):
     normalized = normalize_shapes(
         [read_pts(p) for p in sorted(Path(CORPUS_DIR).glob("*.pts"))])
     model = fit_shape_model(normalized, 10)
-    expected = render_face_svg(model.mean_shape, BIOID_20_ROLES)
+    expected = render_face_svg(model.mean, BIOID_20_ROLES)
     assert svgs[2].read_text() == expected
 
 
@@ -312,6 +312,75 @@ def test_asm_sweep_needs_pts_files(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert status == 1
     assert "PTS" in capsys.readouterr().err
+
+
+def test_preimage_infinite_tolerance_fails(tmp_path, capsys):
+    data = gen_spheres(tmp_path, n=20)
+    embed_out = tmp_path / "embed"
+    model_path = tmp_path / "model.kpml"
+    assert main(["embed", "--method", "kpca", "--components", "2",
+                 "--input", str(data / "features.csv"),
+                 "--save-model", str(model_path),
+                 "--out", str(embed_out)]) == 0
+    out = tmp_path / "pre"
+    status = main(["preimage", "--model", str(model_path),
+                   "--input", str(embed_out / "features.csv"),
+                   "--tol", "inf", "--out", str(out)])
+    assert status == 1
+    assert "tolerance must be finite and > 0, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-spheres", "--seed", "1", "--r1", "inf"],
+     "radii must be finite and > 0: r1=inf"),
+    (["embed", "--method", "kpca", "--sigma", "inf"],
+     "gaussian width must be finite"),
+    (["embed", "--method", "kpca", "--sigma", "abc"],
+     "--sigma must be 'auto' or a number"),
+    (["embed", "--method", "kpca", "--kernel", "poly", "--offset", "inf"],
+     "polynomial offset must be finite"),
+    (["asm-sweep", "--method", "kpca", "--tol", "inf"], "tolerance must be finite"),
+    (["asm-sweep", "--method", "kpca", "--c", "inf"], "c must be finite"),
+    (["asm-sweep", "--method", "kpca", "--sigma", "abc"],
+     "--sigma must be 'auto' or a number"),
+])
+def test_bad_parameter_values_name_the_parameter(tmp_path, capsys, argv, message):
+    if argv[0] == "embed":
+        argv = argv + ["--input", str(gen_spheres(tmp_path, n=20) / "features.csv")]
+    if argv[0] == "asm-sweep":
+        argv = argv + ["--pts-dir", CORPUS_DIR]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_input_errors_name_the_file(tmp_path, capsys):
+    data = gen_spheres(tmp_path, n=20)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("1\n-1\nx\n")
+    assert main(["classify", "--train-features", str(data / "features.csv"),
+                 "--train-labels", str(labels), "--out", str(tmp_path / "clf")]) == 1
+    assert f"error: {labels}: line 3: non-numeric cell" in capsys.readouterr().err
+
+    model_path = tmp_path / "model.kpml"
+    model_path.write_bytes(b"KPML")
+    assert main(["preimage", "--model", str(model_path),
+                 "--input", str(data / "features.csv"),
+                 "--out", str(tmp_path / "pre")]) == 1
+    assert f"error: {model_path}: file shorter than header" in capsys.readouterr().err
+
+    pts_dir = tmp_path / "pts"
+    pts_dir.mkdir()
+    (pts_dir / "a.pts").write_text("version: 1\nn_points: 3\n{\n0 0\n1 0\n0 1\n}\n")
+    bad = pts_dir / "b.pts"
+    bad.write_text("version: 1\nn_points: 3\n{\n0 0\n1 0 9\n0 1\n}\n")
+    assert main(["asm-sweep", "--pts-dir", str(pts_dir), "--method", "pca",
+                 "--out", str(tmp_path / "sweep")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: bad point line" in err
+    assert err.count(str(bad)) == 1
 
 
 def test_unknown_subcommand_usage_error():

@@ -24,6 +24,12 @@ def test_params_validation():
         SpheresParams(r1=-1.0)
     with pytest.raises(ValueError):
         SpheresParams(noise=-0.5)
+    for name in ("r1", "r2"):
+        with pytest.raises(ValueError, match=f"radii must be finite.*{name}=inf"):
+            SpheresParams(**{name: np.inf})
+    for noise in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="noise must be finite"):
+            SpheresParams(noise=noise)
 
 
 def test_noiseless_radii_exact():
@@ -117,22 +123,25 @@ def test_csv_full_precision_round_trip(tmp_path):
 def test_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(CsvParseError):
+    with pytest.raises(CsvParseError) as info:
         read_csv_matrix(path)
+    assert str(info.value) == f"{path}: no data rows found"
 
 
 def test_csv_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1,2,3\n4,5\n")
-    with pytest.raises(CsvParseError, match="line 2"):
+    with pytest.raises(CsvParseError, match="line 2") as info:
         read_csv_matrix(path)
+    assert str(info.value).startswith(f"{path}: line 2: ")
 
 
 def test_csv_non_numeric_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\n3,abc\n")
-    with pytest.raises(CsvParseError, match="line 2"):
+    with pytest.raises(CsvParseError, match="line 2") as info:
         read_csv_matrix(path)
+    assert str(info.value).startswith(f"{path}: line 2: ")
 
 
 def test_csv_rejects_non_2d():
@@ -182,8 +191,9 @@ def test_pgm_comments_in_header(tmp_path):
 def test_pgm_truncated_payload(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2]))
-    with pytest.raises(PgmParseError, match="truncated"):
+    with pytest.raises(PgmParseError, match="truncated") as info:
         read_pgm(path)
+    assert str(info.value).startswith(f"{path}: truncated payload")
 
 
 def test_pgm_truncated_ascii(tmp_path):
@@ -196,8 +206,9 @@ def test_pgm_truncated_ascii(tmp_path):
 def test_pgm_bad_magic(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_text("P6\n1 1\n255\n0\n")
-    with pytest.raises(PgmParseError, match="magic"):
+    with pytest.raises(PgmParseError, match="magic") as info:
         read_pgm(path)
+    assert str(info.value).startswith(f"{path}: unsupported magic")
 
 
 def test_pgm_value_above_maxval(tmp_path):

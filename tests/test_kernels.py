@@ -24,10 +24,15 @@ def test_spec_constructors_validate():
         KernelSpec.polynomial(0)
     with pytest.raises(ValueError):
         KernelSpec.polynomial(2, offset=-1.0)
+    for offset in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            KernelSpec.polynomial(2, offset=offset)
     with pytest.raises(ValueError):
         KernelSpec.gaussian(0.0)
     with pytest.raises(ValueError):
         KernelSpec.gaussian(-2.0)
+    with pytest.raises(ValueError, match="width must be finite"):
+        KernelSpec.gaussian(np.inf)
 
 
 def test_gaussian_same_point_is_one():

@@ -258,6 +258,8 @@ def test_preimage_config_validation():
         PreimageConfig(max_iterations=0)
     with pytest.raises(ValueError):
         PreimageConfig(tolerance=0.0)
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        PreimageConfig(tolerance=np.inf)
 
 
 def test_preimage_weights_sum_to_one():

@@ -61,8 +61,13 @@ def test_rejects_truncated(tmp_path):
     save_model(model, path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError) as info:
         load_model(path)
+    assert str(info.value).startswith(f"{path}: truncated payload")
+    path.write_bytes(blob[:10])
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: file shorter than header"
 
 
 def test_rejects_unknown_version(tmp_path):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from kpca_lab.kernels import KernelSpec
-from kpca_lab.kpca import PreimageConfig, fit_kpca, kpca_preimage, kpca_transform, select_sigma
+from kpca_lab.kpca import (
+    PreimageConfig,
+    fit_kpca,
+    kpca_preimage,
+    kpca_preimages,
+    kpca_transform,
+    select_sigma,
+)
 from kpca_lab.shapes import (
     BIOID_20_ROLES,
     LandmarkRoleMap,
@@ -102,7 +109,7 @@ def test_synthesize_zero_weights_is_mean():
     rng = np.random.default_rng(51)
     shapes = [SQUARE + 0.05 * rng.standard_normal(8) for _ in range(5)]
     model = fit_shape_model(shapes, 4)
-    assert np.array_equal(synthesize(model, np.zeros(4)), model.mean_shape)
+    assert np.array_equal(synthesize(model, np.zeros(4)), model.mean)
 
 
 def test_synthesize_full_rank_identity():
@@ -110,7 +117,7 @@ def test_synthesize_full_rank_identity():
     shapes = [SQUARE + 0.05 * rng.standard_normal(8) for _ in range(12)]
     model = fit_shape_model(shapes, 8)
     for s in shapes:
-        b = model.basis.T @ (s - model.mean_shape)
+        b = model.basis.T @ (s - model.mean)
         assert np.abs(synthesize(model, b) - s).max() <= 1e-8
 
 
@@ -125,6 +132,9 @@ def test_clamp_limits():
         synthesize(model, big, clamp=True),
         synthesize(model, 3.0 * np.sqrt(model.eigenvalues)),
     )
+    # one weight would broadcast against the three limits; it must not
+    with pytest.raises(ValueError, match="expected 3 weights, got 1"):
+        synthesize(model, [1.0], clamp=True)
 
 
 def test_pca_sweep_three_steps():
@@ -133,15 +143,15 @@ def test_pca_sweep_three_steps():
     model = fit_shape_model(shapes, 3)
     swept = sweep_pca_feature(model, 1, 3)
     limit = 3.0 * np.sqrt(model.eigenvalues[0])
-    assert np.array_equal(swept[1], model.mean_shape)
-    assert np.allclose(swept[0], model.mean_shape - limit * model.basis[:, 0])
-    assert np.allclose(swept[2], model.mean_shape + limit * model.basis[:, 0])
+    assert np.array_equal(swept[1], model.mean)
+    assert np.allclose(swept[0], model.mean - limit * model.basis[:, 0])
+    assert np.allclose(swept[2], model.mean + limit * model.basis[:, 0])
 
 
 def test_pca_sweep_zero_eigenvalue_collapses_to_mean():
     model = fit_shape_model([SQUARE] * 3, 2)
     for s in sweep_pca_feature(model, 1, 4):
-        assert np.allclose(s, model.mean_shape)
+        assert np.allclose(s, model.mean)
 
 
 def test_pca_sweep_shapes_collinear_along_component():
@@ -201,8 +211,59 @@ def test_kpca_sweep_validation():
         sweep_kpca_feature(model, 0, 500.0, 3)
     with pytest.raises(ValueError):
         sweep_kpca_feature(model, 1, -1.0, 3)
+    with pytest.raises(ValueError, match="c must be finite"):
+        sweep_kpca_feature(model, 1, np.inf, 3)
     with pytest.raises(ValueError):
         sweep_kpca_feature(model, 1, 500.0, 1)
+
+
+def reference_pca_sweep(model, k, steps):
+    # The PCA sweep as first written: one mean + basis @ b per step.
+    limit = 3.0 * np.sqrt(model.eigenvalues[k - 1])
+    out = []
+    for value in np.linspace(-limit, limit, steps):
+        b = np.zeros(model.n_components)
+        b[k - 1] = value
+        out.append(model.mean + model.basis @ b)
+    return out
+
+
+def reference_kpca_sweep_rows(model, k, c, steps):
+    # The kpca sweep's feature rows as first written: training transform
+    # mean, feature k over mean +/- c population std.
+    y_train = kpca_transform(model, model.training)
+    y_mean = y_train.mean(axis=0)
+    y_std = y_train.std(axis=0)
+    ys = np.tile(y_mean, (steps, 1))
+    ys[:, k - 1] = np.linspace(y_mean[k - 1] - c * y_std[k - 1],
+                               y_mean[k - 1] + c * y_std[k - 1], steps)
+    return ys
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sweeps_match_first_written_references(k):
+    shapes = load_corpus()
+    x = np.vstack(shapes)
+    pmodel = fit_shape_model(shapes, 10)
+    swept = sweep_pca_feature(pmodel, k, 5)
+    for got, want in zip(swept, reference_pca_sweep(pmodel, k, 5)):
+        assert np.array_equal(got, want)
+    kmodel = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), 10)
+    swept = np.vstack(sweep_kpca_feature(kmodel, k, 500.0, 5))
+    z, _, status = kpca_preimages(kmodel, reference_kpca_sweep_rows(kmodel, k, 500.0, 5))
+    assert (status == "converged").all()
+    assert np.abs(swept - z).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", [4, 6, 10])
+def test_training_features_have_spectral_mean_and_std(m):
+    # The identity the kpca sweep relies on: 1^T K~ = 0 gives mean 0 and
+    # N lambda_k |a_k|^2 = 1 gives population std sqrt(lambda_k).
+    x = np.vstack(load_corpus())
+    model = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), m)
+    y = kpca_transform(model, x)
+    assert np.abs(y.mean(axis=0)).max() <= 1e-12
+    assert np.abs(y.std(axis=0) / np.sqrt(model.eigenvalues) - 1.0).max() <= 1e-12
 
 
 def test_kpca_sweep_divergence_carries_step_index():
@@ -278,8 +339,8 @@ def test_role_map_errors():
 def test_render_deterministic_and_structured():
     shapes = load_corpus()
     model = fit_shape_model(shapes, 5)
-    svg1 = render_face_svg(model.mean_shape, BIOID_20_ROLES)
-    svg2 = render_face_svg(model.mean_shape.copy(), BIOID_20_ROLES)
+    svg1 = render_face_svg(model.mean, BIOID_20_ROLES)
+    svg2 = render_face_svg(model.mean.copy(), BIOID_20_ROLES)
     assert svg1 == svg2
     # 5 named polylines + the contour parabola, 2 eyeball circles, mouth polygon
     assert svg1.count("<polyline") == 6
