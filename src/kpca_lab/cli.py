@@ -36,6 +36,7 @@ from .model_io import load_model, save_model
 from .pca import fit_pca, fit_pca_dual, pca_project
 from .shapes import (
     BIOID_20_ROLES,
+    ShapeError,
     normalize_shapes,
     fit_shape_model,
     read_pts,
@@ -151,19 +152,20 @@ def _parse_sigma(arg: str, x: np.ndarray) -> float:
         raise ValueError(f"--sigma must be 'auto' or a number, got {arg!r}") from None
 
 
-def _resolve_kernel(args, x: np.ndarray) -> tuple[KernelSpec, float | None]:
+def _resolve_kernel(args, x: np.ndarray) -> tuple[KernelSpec, dict]:
+    """The kernel and the manifest entries of the parameters it uses."""
     if args.kernel == "linear":
-        return KernelSpec.linear(), None
+        return KernelSpec.linear(), {"kernel": "linear"}
     if args.kernel == "poly":
-        return KernelSpec.polynomial(args.degree, args.offset), None
+        return KernelSpec.polynomial(args.degree, args.offset), {
+            "kernel": "poly", "degree": args.degree, "offset": args.offset}
     sigma = _parse_sigma(args.sigma, x)
-    return KernelSpec.gaussian(sigma), sigma
+    return KernelSpec.gaussian(sigma), {"kernel": "gaussian", "sigma": sigma}
 
 
 def cmd_embed(args) -> int:
     x, labels = _load_features_labels(args.input, args.labels, args.labels_col)
     out = _prepare_out(args.out)
-    sigma = None
     if args.method == "pca":
         n, d = x.shape
         model = fit_pca_dual(x, args.components) if d > n \
@@ -171,14 +173,12 @@ def cmd_embed(args) -> int:
         transformed = pca_project(model, x)
         kernel_params = {}
     else:
-        spec, sigma = _resolve_kernel(args, x)
+        spec, kernel_params = _resolve_kernel(args, x)
         model = fit_kpca(x, spec, args.components)
         if model.n_components < args.components:
             print(f"note: retained {model.n_components} of {args.components} "
                   f"components (rest numerically zero)")
         transformed = kpca_transform(model, x)
-        kernel_params = {"kernel": args.kernel, "degree": args.degree,
-                         "offset": args.offset, "sigma": sigma}
     features_path = out / "features.csv"
     write_csv_matrix(transformed, features_path)
     outputs = [features_path]
@@ -197,8 +197,8 @@ def cmd_embed(args) -> int:
         inputs=inputs, outputs=outputs,
     )
     print(f"wrote {features_path} ({transformed.shape[0]} x {transformed.shape[1]})")
-    if sigma is not None:
-        print(f"gaussian sigma = {sigma:.6g}")
+    if "sigma" in kernel_params:
+        print(f"gaussian sigma = {kernel_params['sigma']:.6g}")
     return 0
 
 
@@ -266,21 +266,22 @@ def cmd_asm_sweep(args) -> int:
     shapes = [read_pts(path) for path in pts_files]
     try:
         normalized = normalize_shapes(shapes)
-    except ValueError as exc:
-        # normalize reports the failing index; attach the file name
-        raise ValueError(f"{exc} (see {pts_files[0].parent})") from exc
+    except ShapeError as exc:
+        raise ValueError(f"{pts_files[exc.index]}: {exc}") from None
     roles = read_role_map(args.role_map) if args.role_map else BIOID_20_ROLES
     x = np.vstack(normalized)
-    sigma = None
-    cfg = PreimageConfig(max_iterations=args.max_iter, tolerance=args.tol)
+    params = {"method": args.method, "feature": args.feature,
+              "steps": args.steps, "m": args.m}
     if args.method == "pca":
         t = min(args.m, x.shape[1], x.shape[0])
         model = fit_shape_model(normalized, t)
         swept = sweep_pca_feature(model, args.feature, args.steps)
     else:
+        cfg = PreimageConfig(max_iterations=args.max_iter, tolerance=args.tol)
         sigma = _parse_sigma(args.sigma, x)
         kmodel = fit_kpca(x, KernelSpec.gaussian(sigma), min(args.m, x.shape[0]))
         swept = sweep_kpca_feature(kmodel, args.feature, args.c, args.steps, cfg)
+        params.update(c=args.c, sigma=sigma, max_iter=args.max_iter, tol=args.tol)
     out = _prepare_out(args.out)
     outputs = []
     for step, shape in enumerate(swept, start=1):
@@ -291,10 +292,7 @@ def cmd_asm_sweep(args) -> int:
     write_csv_matrix(np.vstack(swept), shapes_path)
     outputs.append(shapes_path)
     _write_manifest(
-        out, "asm-sweep",
-        {"method": args.method, "feature": args.feature, "steps": args.steps,
-         "c": args.c, "m": args.m, "sigma": sigma,
-         "max_iter": args.max_iter, "tol": args.tol},
+        out, "asm-sweep", params,
         inputs=[str(p) for p in pts_files],
         outputs=outputs,
     )

@@ -118,25 +118,29 @@ def read_csv_matrix(path: str | Path) -> np.ndarray:
     """Read a headerless numeric CSV into an N x D float matrix.
 
     Raises :class:`CsvParseError` (with the path and a line number) for
-    ragged rows, non-numeric cells, or an empty file.
+    ragged rows, non-numeric cells, or an empty file, and (with the path)
+    for a file that is not ASCII.
     """
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path}: {exc}") from None
     rows: list[list[float]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                row = [float(c) for c in cells]
-            except ValueError as exc:
-                raise CsvParseError(
-                    f"{path}: line {lineno}: non-numeric cell ({exc})") from None
-            if rows and len(row) != len(rows[0]):
-                raise CsvParseError(
-                    f"{path}: line {lineno}: {len(row)} cells, expected {len(rows[0])}"
-                )
-            rows.append(row)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError as exc:
+            raise CsvParseError(
+                f"{path}: line {lineno}: non-numeric cell ({exc})") from None
+        if rows and len(row) != len(rows[0]):
+            raise CsvParseError(
+                f"{path}: line {lineno}: {len(row)} cells, expected {len(rows[0])}"
+            )
+        rows.append(row)
     if not rows:
         raise CsvParseError(f"{path}: no data rows found")
     return np.array(rows, dtype=float)

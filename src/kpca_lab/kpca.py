@@ -121,8 +121,8 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     """Fit kernel PCA with up to ``m`` components.
 
     Steps: build the kernel matrix, keep its column means, center it (the
-    raw Gram is not kept), eigendecompose, keep the top
-    components with positive raw eigenvalue, and rescale each eigenvector
+    raw Gram is not kept), solve for its top ``m`` eigenpairs only, keep
+    those with positive raw eigenvalue, and rescale each eigenvector
     alpha_k (unit norm from the solver) to a_k = alpha_k / sqrt(raw_k) so
     that lambda_k * N * |a_k|^2 = 1.
 
@@ -142,7 +142,7 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     k = kernel_matrix(spec, x, x)
     col_means = gram_col_means(k)
     k = center_gram(k)  # rebinding frees the raw Gram before the eigensolve
-    dec = sym_eig(k)
+    dec = sym_eig(k, m)
     raw = dec.values
     cutoff = DROP_RTOL * max(raw[0], 0.0)
     keep = [i for i in range(m) if raw[i] > cutoff and raw[i] > 0.0]

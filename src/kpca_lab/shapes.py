@@ -30,6 +30,14 @@ class RoleMapError(ValueError):
     """Malformed or inconsistent landmark role map."""
 
 
+class ShapeError(ValueError):
+    """A shape in a list failed a check; ``index`` is its position in the list."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class LandmarkRoleMap:
     """Named landmark index groups used by the face renderer.
@@ -92,7 +100,8 @@ def normalize_shapes(shapes: Sequence[np.ndarray]) -> list[np.ndarray]:
 
     Normalization is per shape and per axis, which removes translation and
     scale.  A shape whose points are collinear along an axis has no scale
-    there; that raises a ``ValueError`` naming the shape index.
+    there; that, or a point count unlike the first shape's, raises a
+    :class:`ShapeError` naming the shape index.
     """
     if len(shapes) == 0:
         raise ValueError("no shapes given")
@@ -100,17 +109,17 @@ def normalize_shapes(shapes: Sequence[np.ndarray]) -> list[np.ndarray]:
     out = []
     for idx, shape in enumerate(shapes):
         if shape.size != n:
-            raise ValueError(
-                f"shape {idx} has {shape.size // 2} points, expected {n // 2}"
+            raise ShapeError(
+                f"shape {idx} has {shape.size // 2} points, expected {n // 2}", idx
             )
         pts = shape_points(shape).copy()
         for axis in range(2):
             lo = pts[:, axis].min()
             hi = pts[:, axis].max()
             if hi - lo <= 0.0:
-                raise ValueError(
+                raise ShapeError(
                     f"shape {idx} is degenerate: zero range on "
-                    f"{'xy'[axis]} axis"
+                    f"{'xy'[axis]} axis", idx
                 )
             pts[:, axis] = (pts[:, axis] - lo) / (hi - lo)
         out.append(points_shape(pts))

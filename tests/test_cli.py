@@ -364,6 +364,11 @@ def test_input_errors_name_the_file(tmp_path, capsys):
                  "--train-labels", str(labels), "--out", str(tmp_path / "clf")]) == 1
     assert f"error: {labels}: line 3: non-numeric cell" in capsys.readouterr().err
 
+    labels.write_bytes(b"\xff1\n-1\n")
+    assert main(["classify", "--train-features", str(data / "features.csv"),
+                 "--train-labels", str(labels), "--out", str(tmp_path / "clf")]) == 1
+    assert f"error: {labels}: 'ascii' codec can't decode byte 0xff" in capsys.readouterr().err
+
     model_path = tmp_path / "model.kpml"
     model_path.write_bytes(b"KPML")
     assert main(["preimage", "--model", str(model_path),
@@ -381,6 +386,34 @@ def test_input_errors_name_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {bad}: bad point line" in err
     assert err.count(str(bad)) == 1
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for path in sorted(Path(CORPUS_DIR).glob("face_0[0-4].pts")):
+        (corpus / path.name).write_text(path.read_text())
+    short = corpus / "face_02.pts"
+    short.write_text("version: 1\nn_points: 3\n{\n0 0\n1 0\n0 1\n}\n")
+    assert main(["asm-sweep", "--pts-dir", str(corpus), "--method", "pca",
+                 "--out", str(tmp_path / "sweep")]) == 1
+    assert f"error: {short}: shape 2 has 3 points, expected 20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["asm-sweep", "--method", "pca", "--c", "inf", "--tol", "inf"],
+     {"c", "sigma", "max_iter", "tol"}),
+    (["embed", "--method", "kpca", "--offset", "inf"], {"degree", "offset"}),
+])
+def test_manifest_leaves_out_unused_parameters(tmp_path, argv, unused):
+    if argv[0] == "embed":
+        argv = argv + ["--input", str(gen_spheres(tmp_path, n=20) / "features.csv")]
+    if argv[0] == "asm-sweep":
+        argv = argv + ["--pts-dir", CORPUS_DIR]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    text = (out / "manifest.json").read_text()
+    parameters = json.loads(text, parse_constant=lambda c: pytest.fail(c))["parameters"]
+    assert not unused & parameters.keys()
+    assert parameters["method"] == argv[2]
 
 
 def test_unknown_subcommand_usage_error():

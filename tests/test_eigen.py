@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kpca_lab import eigen
 from kpca_lab.eigen import EigenDecomposition, sym_eig
 
 
@@ -72,9 +73,27 @@ def test_rejects_asymmetric():
         sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("n, i, j", [(2, 1, 0), (600, 599, 3), (600, 100, 300),
+                                     (600, 300, 257)])
+def test_asymmetry_found_in_any_tile(n, i, j):
+    # The check compares tiles of the upper triangle with their mirror; an
+    # entry in the last, ragged tile or off the diagonal tiles must be seen.
+    a = np.eye(n)
+    a[i, j] = 1e-6
+    with pytest.raises(ValueError, match=r"max \|A - A\^T\| = 1\.000e-06"):
+        sym_eig(a)
+    a[j, i] = 1e-6
+    eigen._validate_symmetric(a)
+
+
 def test_rejects_non_finite():
-    with pytest.raises(ValueError):
-        sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_eig(np.array([[bad, 0.0], [0.0, 1.0]]))
+        a = np.eye(3)
+        a[2, 1] = a[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_eig(a)
 
 
 def test_rejects_non_square():
@@ -99,3 +118,80 @@ def test_reconstruction_and_trace(seed, n):
     # residual bound from the decomposition contract
     resid = a @ dec.vectors - dec.vectors * dec.values[None, :]
     assert np.abs(resid).max() <= 1e-8 * max(1.0, abs(dec.values[0]))
+
+
+def psd_with_gap(seed, n):
+    """Q diag(w) Q^T with a geometric spectrum, so every eigenvalue has a gap."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = 5.0 * 0.6 ** np.arange(n)
+    a = (q * w) @ q.T
+    return (a + a.T) / 2.0
+
+
+@pytest.mark.parametrize("seed, m", [(0, 1), (1, 2), (2, 5), (3, 9)])
+def test_top_m_matches_full_eigh(seed, m):
+    a = psd_with_gap(seed, 150)
+    assert eigen._subspace_top(a, m) is not None  # the iteration, not the fallback
+    top = sym_eig(a, m)
+    full = sym_eig(a)
+    assert top.values.shape == (m,)
+    assert top.vectors.shape == (150, m)
+    assert np.abs(top.values - full.values[:m]).max() <= 1e-12 * full.values[0]
+    assert np.abs(top.vectors - full.vectors[:, :m]).max() <= 1e-10
+    for k in range(m):
+        col = top.vectors[:, k]
+        assert col[np.argmax(np.abs(col))] >= 0.0
+
+
+def test_top_m_zero_matrix():
+    assert eigen._subspace_top(np.zeros((60, 60)), 3) is not None
+    dec = sym_eig(np.zeros((60, 60)), 3)
+    assert np.array_equal(dec.values, np.zeros(3))
+    assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(3), atol=1e-12)
+
+
+def test_top_m_negative_block_falls_back():
+    # Ten negative eigenvalues larger in magnitude than the wanted positive
+    # pair fill the block; its top Ritz pairs converge to -11 and -12, and
+    # only the fallback finds 1.0 and 0.9.
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    w = np.concatenate([[1.0, 0.9], -np.arange(11.0, 21.0), np.full(188, 0.01)])
+    a = (q * w) @ q.T
+    dec = sym_eig((a + a.T) / 2.0, 2)
+    assert np.allclose(dec.values, [1.0, 0.9], atol=1e-12)
+
+
+def test_top_m_falls_back_when_sweeps_run_out(monkeypatch):
+    a = psd_with_gap(4, 120)
+    full = sym_eig(a)
+    monkeypatch.setattr(eigen, "_sweep_cap", lambda n, b: 1)
+    assert eigen._subspace_top(a, 3) is None
+    dec = sym_eig(a, 3)
+    assert np.array_equal(dec.values, full.values[:3])
+    assert np.array_equal(dec.vectors, full.vectors[:, :3])
+
+
+def test_top_m_small_n_is_truncated_full_solve():
+    rng = np.random.default_rng(6)
+    a = random_symmetric(rng, 30)  # 4 * (2 + 8) > 30: no iteration
+    full = sym_eig(a)
+    dec = sym_eig(a, 2)
+    assert np.array_equal(dec.values, full.values[:2])
+    assert np.array_equal(dec.vectors, full.vectors[:, :2])
+    assert sym_eig(a, 30).values.shape == (30,)
+
+
+def test_top_m_deterministic_repeat():
+    a = psd_with_gap(7, 150)
+    d1 = sym_eig(a, 2)
+    d2 = sym_eig(a.copy(), 2)
+    assert d1.values.tobytes() == d2.values.tobytes()
+    assert d1.vectors.tobytes() == d2.vectors.tobytes()
+
+
+@pytest.mark.parametrize("m", [0, 31, -1])
+def test_top_m_out_of_range_rejected(m):
+    with pytest.raises(ValueError, match="outside"):
+        sym_eig(np.eye(30), m)

@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from kpca_lab import kpca
+from kpca_lab import eigen, kpca
+from kpca_lab.eigen import sym_eig
 from kpca_lab.data import SpheresParams, gen_two_spheres
 from kpca_lab.kernels import KernelSpec, kernel_matrix
 from kpca_lab.kpca import (
@@ -30,10 +34,47 @@ def column_sign_align(a, b):
 
 
 def test_identical_points_retain_nothing():
-    x = np.ones((4, 2))
-    model = fit_kpca(x, KernelSpec.gaussian(1.0), 3)
-    assert model.n_components == 0
-    assert kpca_transform(model, x).shape == (4, 0)
+    for n in (4, 60):  # full eigh; top-m subspace iteration
+        x = np.ones((n, 2))
+        model = fit_kpca(x, KernelSpec.gaussian(1.0), 3)
+        assert model.n_components == 0
+        assert kpca_transform(model, x).shape == (n, 0)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_top_m_fit_matches_full_eigh_fit(monkeypatch, m):
+    x = gen_two_spheres(SpheresParams(n=300, seed=8)).features
+    spec = KernelSpec.gaussian(select_sigma(x))
+    solved = []
+    iterate = eigen._subspace_top
+
+    def spy(a, m):
+        solved.append(iterate(a, m))
+        return solved[-1]
+
+    monkeypatch.setattr(eigen, "_subspace_top", spy)
+    top = fit_kpca(x, spec, m)
+    assert solved and solved[0] is not None  # the iteration, not the fallback
+    monkeypatch.setattr(kpca, "sym_eig", lambda a, m=None: sym_eig(a))
+    full = fit_kpca(x, spec, m)
+    assert top.n_components == full.n_components == m
+    assert np.abs(top.eigenvalues - full.eigenvalues).max() <= 1e-12 * full.eigenvalues[0]
+    scale = np.abs(full.coefficients).max()
+    assert np.abs(top.coefficients - full.coefficients).max() <= 1e-10 * scale
+    assert np.array_equal(top.train_col_means, full.train_col_means)
+
+
+def test_runtime_needs_numpy_only():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import kpca_lab\n"
+            "from kpca_lab.kernels import KernelSpec\n"
+            "x = np.random.default_rng(0).standard_normal((120, 3))\n"
+            "kpca_lab.fit_kpca(x, KernelSpec.gaussian(kpca_lab.select_sigma(x)), 2)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_linear_kernel_eigenvalues_match_pca():
