@@ -7,21 +7,34 @@ eigenvector's entry of largest magnitude non-negative.
 
 ``sym_eig(a)`` delegates the full decomposition to LAPACK via
 ``numpy.linalg.eigh``.  ``sym_eig(a, m)`` returns only the top ``m`` pairs,
-as kernel PCA needs: block subspace iteration (Saad, *Numerical Methods for
-Large Eigenvalue Problems*, ch. 5; Halko, Martinsson & Tropp 2011) on
-``m + _OVERSAMPLE`` vectors from a fixed-seed gaussian start, with QR
-re-orthonormalisation and a Rayleigh-Ritz step every sweep, stopping once
-each wanted Ritz pair has ``|A v - theta v| <= _RESIDUAL_RTOL * max|theta|``.
-Each sweep costs one n x b product instead of the O(n^3) of ``eigh``.
+as kernel PCA needs, by block Lanczos (a block Krylov method; Golub & Van
+Loan, *Matrix Computations*, ch. 10; Musco & Musco 2015).  From a
+fixed-seed gaussian start block the basis grows by one block per step: the
+product A Q_j of the newest block, orthogonalised twice against the whole
+basis (full reorthogonalisation).  The projected matrix Q^T A Q grows by
+one block row per step, and its Rayleigh-Ritz pairs are accepted once each
+wanted one has ``|A v - theta v| <= _RESIDUAL_RTOL * max|theta|``.  The
+newest block's remainder gives that residual without a product with A;
+one explicit n x m product certifies it at the end.  The Krylov space of
+j + 1 blocks contains the j-th iterate of subspace iteration from the same
+start block, so each pass over A gains more, and its Ritz values approach
+the algebraically largest eigenvalues from below, whatever the negative
+part of the spectrum.
 
-The top-m call falls back to full ``eigh`` (and then equals ``sym_eig(a)``
-truncated) when the block is not small against n, when the sweep cap runs
-out, or when the block shows negative eigenvalues as large as the m-th
-wanted one, which could hide a wanted eigenvalue from the iteration.  The
-convergence rate is |theta_{b+1} / theta_m|, so the iteration pays only on
-a spectrum that drops after its first m values.  ``pca.fit_pca_dual`` keeps
-the full solve for that reason: the dual Gram of wide data has a flat tail
-after its few signal axes, where the iteration needs hundreds of sweeps.
+The block has ``m`` columns, never fewer: a Krylov space built from b
+start vectors holds at most b vectors of any one eigenspace, so a
+single-vector Lanczos finds one copy of a repeated eigenvalue and returns
+the next distinct value in place of the second copy.
+
+The basis is capped at ``_MAX_STEPS`` blocks and n / 2 columns
+(:func:`_basis_cap` has the cost argument): on the gaussian Grams of the
+benchmark a thin block certifies within 18 steps, and a failed attempt
+costs at most about one more eigh.  When the cap is reached uncertified,
+or when n is too small against the block for ``_MIN_STEPS`` steps, the
+top-m call runs full ``eigh`` and then equals ``sym_eig(a)`` truncated.
+``pca.fit_pca_dual`` keeps the full solve: the dual Gram of wide data has
+a flat tail after its few signal axes, where the Krylov solve is no faster
+than ``eigh``.
 """
 
 from __future__ import annotations
@@ -37,15 +50,16 @@ SYMMETRY_RTOL = 1e-12
 # allocates an n x n temporary.
 _TILE = 256
 
-# Extra vectors in the top-m block; the wanted pairs converge at the rate
-# |lambda_{m+p+1} / lambda_m|.
-_OVERSAMPLE = 8
-
 # A top-m Ritz pair is accepted once |A v - theta v| <= this * max|theta|.
 _RESIDUAL_RTOL = 1e-12
 
-# Subspace iteration runs only when 4 * block <= n; below that eigh is cheap.
-_MIN_N_PER_BLOCK = 4
+# Block Lanczos steps before the basis cap; two-spheres and blob Grams with
+# the automatic width (N = 200 to 3000, M = 2 to 10) certify in 8 to 18.
+_MAX_STEPS = 32
+
+# Block Lanczos runs only when its cap allows this many steps; below that
+# n is small against the block, and eigh is cheap.
+_MIN_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -91,37 +105,57 @@ def _canonical(w: np.ndarray, v: np.ndarray, m: int | None = None) -> EigenDecom
     return EigenDecomposition(values=w, vectors=v)
 
 
-def _sweep_cap(n: int, b: int) -> int:
-    """Sweeps before the top-m iteration gives up and falls back to eigh.
+def _basis_cap(n: int, b: int) -> int:
+    """Columns the top-m basis may reach before the solve falls back to eigh.
 
-    A sweep costs ~2 n^2 b flops, eigh ~10 n^3: n // b sweeps take about as
-    long as one eigh (on a 2-core Intel Xeon with OpenBLAS, b=10: 1.5 ms
-    against 0.15 s at n=1000, 12 ms against 3.2 s at n=3000), so a failed
-    attempt at most doubles the solve.
+    At most ``_MAX_STEPS`` blocks of b and at most n / 2 columns.  A step
+    with k columns costs one pass over A (2 n^2 b flops, bound by reading
+    the n^2 entries), ~12 n k b flops of reorthogonalisation and ~10 k^3
+    for the projected eigh; eigh costs ~10 n^3.  Within the cap the passes
+    total at most n^3, the reorthogonalisation 1.5 n^3 and the projected
+    solves 10 (n / 2)^3 * _MAX_STEPS / 4 = 10 n^3, so a failed attempt
+    costs at most about one more eigh.  A thin block costs far less (b=2,
+    n=3000 on a 2-core Intel Xeon with OpenBLAS: 32 passes of ~5 ms
+    against 3.2 s for eigh).
     """
-    return n // b
+    return min(n // 2, _MAX_STEPS * b)
 
 
-def _subspace_top(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Top-m Ritz pairs by block subspace iteration, or None if not certified."""
+def _krylov_top(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Top-m Ritz pairs by block Lanczos on blocks of m, or None if not certified."""
     n = a.shape[0]
-    b = m + _OVERSAMPLE
-    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, b)))
-    for _ in range(_sweep_cap(n, b)):
-        y = a @ q
-        h = q.T @ y
-        theta, s = np.linalg.eigh((h + h.T) / 2.0)
+    cap = _basis_cap(n, m)
+    basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, m)))
+    block = basis
+    h = np.zeros((0, 0))
+    while True:
+        k = basis.shape[1]
+        # A is symmetric: (Q_j^T A)^T = A Q_j, and the wide product reads A
+        # row by row, up to twice as fast as A @ Q_j for a thin block.
+        w = (block.T @ a).T
+        c = basis.T @ w
+        h = np.pad(h, ((0, m), (0, m)))
+        h[k - m:] = c.T  # eigh reads the lower triangle only
+        w -= basis @ c
+        w -= basis @ (basis.T @ w)
+        nxt, r = np.linalg.qr(w)
+        theta, s = np.linalg.eigh(h)
         theta, s = theta[::-1], s[:, ::-1]
-        resid = np.linalg.norm(y @ s[:, :m] - (q @ s[:, :m]) * theta[:m], axis=0)
-        if resid.max() <= _RESIDUAL_RTOL * np.abs(theta).max():
-            # The iteration favours large |lambda|: a negative Ritz value as
-            # large as the m-th wanted one means negative eigenvalues may
-            # have crowded a wanted positive one out of the block.
-            if theta[-1] < -max(theta[m - 1], 0.0):
-                return None
-            return theta[:m], q @ s[:, :m]
-        q, _ = np.linalg.qr(y)
-    return None
+        # A Q s - Q H s = W_perp s_j = Q_{j+1} R s_j: the residual's norm
+        # without a product with A.
+        tol = _RESIDUAL_RTOL * np.abs(theta).max()
+        if np.linalg.norm(r @ s[k - m:, :m], axis=0).max() <= tol:
+            v = basis @ s[:, :m]
+            resid = (v.T @ a).T - v * theta[:m]
+            if np.linalg.norm(resid, axis=0).max() <= tol:
+                return theta[:m], v
+        if k + m > cap:
+            return None
+        # QR of a rank-deficient remainder pads with arbitrary unit vectors;
+        # a second projection keeps them orthogonal to the basis.
+        nxt -= basis @ (basis.T @ nxt)
+        block, _ = np.linalg.qr(nxt)
+        basis = np.hstack([basis, block])
 
 
 def sym_eig(a: np.ndarray, m: int | None = None) -> EigenDecomposition:
@@ -133,9 +167,9 @@ def sym_eig(a: np.ndarray, m: int | None = None) -> EigenDecomposition:
     resolves the +/-v ambiguity deterministically.
 
     With ``m``, only the ``m`` algebraically largest pairs are returned
-    (``values`` of shape (m,), ``vectors`` n x m), computed by block subspace
-    iteration where that pays off and by full ``eigh`` otherwise (see the
-    module docstring).  Repeated calls give byte-identical results.
+    (``values`` of shape (m,), ``vectors`` n x m), computed by block Lanczos
+    where that pays off and by full ``eigh`` otherwise (see the module
+    docstring).  Repeated calls give byte-identical results.
 
     Raises ``ValueError`` for non-square, non-finite, or asymmetric input,
     or for ``m`` outside [1, n].
@@ -146,8 +180,8 @@ def sym_eig(a: np.ndarray, m: int | None = None) -> EigenDecomposition:
     if m is not None:
         if not 1 <= m <= n:
             raise ValueError(f"m={m} outside [1, n] = [1, {n}]")
-        if _MIN_N_PER_BLOCK * (m + _OVERSAMPLE) <= n:
-            top = _subspace_top(a, m)
+        if _basis_cap(n, m) >= _MIN_STEPS * m:
+            top = _krylov_top(a, m)
             if top is not None:
                 return _canonical(*top)
     w, v = np.linalg.eigh(a)

@@ -88,7 +88,9 @@ def sq_dist_blocks(a: np.ndarray, b: np.ndarray, upper: bool = False):
     for data far from the origin.  ``b`` is shifted once and ``a`` one block
     at a time, or not at all when ``a`` is ``b``.  With ``upper`` (only when
     ``a`` is ``b``) each block starts at its diagonal, j0 = i0, so the blocks
-    cover the upper triangle.  Each ``d2`` is a fresh block temporary.
+    cover the upper triangle.  Each ``d2`` is a fresh block temporary; a
+    caller that drops it before asking for the next block keeps only one
+    alive at a time.
     """
     same = a is b
     shift = b.mean(axis=0)
@@ -108,6 +110,7 @@ def sq_dist_blocks(a: np.ndarray, b: np.ndarray, upper: bool = False):
         d2 += na[:, None]
         d2 += nb[None, j0:]
         yield i0, i1, j0, d2
+        del d2
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,8 +118,8 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Works in row blocks of ``a``: one matrix product per block, clamped at
     0 and written straight into the result, so besides the result only a
-    shifted copy of ``b`` and block temporaries of about ``_BLOCK_ENTRIES``
-    entries each are allocated.  When ``a`` and ``b`` are the same object
+    shifted copy of ``b`` and one block temporary of about ``_BLOCK_ENTRIES``
+    entries at a time are allocated.  When ``a`` and ``b`` are the same object
     only the diagonal and upper blocks are computed and then mirrored, so
     the result is exactly symmetric with an exactly-zero diagonal.
     """
@@ -128,11 +131,17 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     same = a is b
     out = np.empty((a.shape[0], b.shape[0]))
+    diagonal = []
     for i0, i1, j0, d2 in sq_dist_blocks(a, b, upper=same):
         np.maximum(d2, 0.0, out=out[i0:i1, j0:])
+        del d2
         if same:
             out[i0:i1, :i0] = out[:i0, i0:i1].T
-            out[i0:i1, i0:i1] = _mirror_upper(out[i0:i1, i0:i1])
+            diagonal.append((i0, i1))
+    # Mirrored once the last block temporary is gone, so that the two never
+    # coexist.
+    for i0, i1 in diagonal:
+        out[i0:i1, i0:i1] = _mirror_upper(out[i0:i1, i0:i1])
     if same:
         np.fill_diagonal(out, 0.0)
     return out
@@ -176,6 +185,9 @@ def center_gram(k: np.ndarray) -> np.ndarray:
     Equivalent to K - J K - K J + J K J with J the all-1/N matrix; computed
     via row/column means.  Output rows and columns sum to ~0 and the result
     is symmetric to rounding.  The result is the only N x N array allocated.
+
+    Reference form: :func:`kpca.fit_kpca` applies the same operations in
+    place on its kernel matrix, bit-identically, and does not call this.
     """
     k = _as_matrix(k, "k")
     if k.shape[0] != k.shape[1]:
@@ -197,6 +209,10 @@ def center_cross(k_test: np.ndarray, col_means: np.ndarray) -> np.ndarray:
     means are subtracted, and their mean (the training grand mean) is added
     back.  Rows equal to training rows reproduce the corresponding rows of
     the centered training Gram.
+
+    Reference form: :func:`kpca.kpca_transform` applies this centering to
+    the product with the coefficients, not to the T x N block, and does not
+    call this.
     """
     k_test = _as_matrix(k_test, "k_test")
     col_means = np.asarray(col_means, dtype=float)

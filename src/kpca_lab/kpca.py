@@ -28,8 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import sym_eig
-from .kernels import (KernelSpec, block_rows, center_cross, center_gram,
-                      kernel_matrix, sq_dist_blocks, sq_dists)
+from .kernels import KernelSpec, block_rows, kernel_matrix, sq_dist_blocks, sq_dists
 
 # Components with raw centered-Gram eigenvalue <= DROP_RTOL * largest are
 # treated as numerically zero and dropped.
@@ -120,11 +119,14 @@ def gram_col_means(k: np.ndarray) -> np.ndarray:
 def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     """Fit kernel PCA with up to ``m`` components.
 
-    Steps: build the kernel matrix, keep its column means, center it (the
-    raw Gram is not kept), solve for its top ``m`` eigenpairs only, keep
-    those with positive raw eigenvalue, and rescale each eigenvector
-    alpha_k (unit norm from the solver) to a_k = alpha_k / sqrt(raw_k) so
-    that lambda_k * N * |a_k|^2 = 1.
+    Steps: build the kernel matrix, keep its column means, center it in
+    place (the operations of :func:`kernels.center_gram`, so the result is
+    bit-identical, but with no second N x N array), solve for its top ``m``
+    eigenpairs only, keep those with positive raw eigenvalue, and rescale
+    each eigenvector alpha_k (unit norm from the solver) to
+    a_k = alpha_k / sqrt(raw_k) so that lambda_k * N * |a_k|^2 = 1.  The
+    coefficients are stored C-contiguous, the layout a loaded model has, so
+    both transform bit-identically.
 
     Identical data points are legal: the centered Gram is then zero and the
     model simply retains no components.
@@ -141,12 +143,14 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
         raise ValueError(f"components M={m} outside [1, N] = [1, {n}]")
     k = kernel_matrix(spec, x, x)
     col_means = gram_col_means(k)
-    k = center_gram(k)  # rebinding frees the raw Gram before the eigensolve
+    k -= col_means[:, None]
+    k -= col_means
+    k += col_means.mean()
     dec = sym_eig(k, m)
     raw = dec.values
     cutoff = DROP_RTOL * max(raw[0], 0.0)
     keep = [i for i in range(m) if raw[i] > cutoff and raw[i] > 0.0]
-    coeffs = dec.vectors[:, keep] / np.sqrt(raw[keep])[None, :] if keep \
+    coeffs = np.ascontiguousarray(dec.vectors[:, keep] / np.sqrt(raw[keep])) if keep \
         else np.zeros((n, 0))
     values = raw[keep] / n if keep else np.zeros(0)
     return KpcaModel(
@@ -161,9 +165,16 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
 def kpca_transform(model: KpcaModel, q: np.ndarray) -> np.ndarray:
     """Kernel principal components of query rows, as a T x M matrix.
 
-    Each query row is kernel-evaluated against the training set, the block
-    is centered consistently with the training Gram, and the result is
-    contracted with the coefficient vectors.
+    Each query row is kernel-evaluated against the training set and the
+    T x N block contracted with the coefficient vectors; centering against
+    the training Gram comes after the product, so no centered T x N copy
+    is made.  With c the training column means, mu their mean and r the
+    query rows' kernel means, the centered block of
+    :func:`kernels.center_cross` is K - 1 c^T - r 1^T + mu 1 1^T, so
+
+        K~ a = K a - 1 (c.a) - r (1.a) + mu (1.a).
+
+    One product K [a | 1/N] gives both K a and r.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
@@ -173,7 +184,15 @@ def kpca_transform(model: KpcaModel, q: np.ndarray) -> np.ndarray:
             f"expected {model.n_features} features, got {q.shape[1]}"
         )
     k_test = kernel_matrix(model.spec, q, model.training)
-    return center_cross(k_test, model.train_col_means) @ model.coefficients
+    a = model.coefficients
+    n, m = a.shape
+    prod = k_test @ np.hstack([a, np.full((n, 1), 1.0 / n)])
+    y, row_means = prod[:, :m], prod[:, m:]
+    a_sums = a.sum(axis=0)
+    y -= model.train_col_means @ a
+    y -= row_means * a_sums
+    y += model.train_col_means.mean() * a_sums
+    return np.ascontiguousarray(y)
 
 
 def preimage_weights(model: KpcaModel, y: np.ndarray) -> np.ndarray:

@@ -132,7 +132,7 @@ def psd_with_gap(seed, n):
 @pytest.mark.parametrize("seed, m", [(0, 1), (1, 2), (2, 5), (3, 9)])
 def test_top_m_matches_full_eigh(seed, m):
     a = psd_with_gap(seed, 150)
-    assert eigen._subspace_top(a, m) is not None  # the iteration, not the fallback
+    assert eigen._krylov_top(a, m) is not None  # block Lanczos, not the fallback
     top = sym_eig(a, m)
     full = sym_eig(a)
     assert top.values.shape == (m,)
@@ -145,29 +145,51 @@ def test_top_m_matches_full_eigh(seed, m):
 
 
 def test_top_m_zero_matrix():
-    assert eigen._subspace_top(np.zeros((60, 60)), 3) is not None
+    assert eigen._krylov_top(np.zeros((60, 60)), 3) is not None
     dec = sym_eig(np.zeros((60, 60)), 3)
     assert np.array_equal(dec.values, np.zeros(3))
     assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(3), atol=1e-12)
 
 
-def test_top_m_negative_block_falls_back():
+@pytest.mark.parametrize("n, d, m", [(100, 3, 5), (300, 1, 3)])
+def test_top_m_rank_deficient_gram(n, d, m):
+    # Rank d < m: the Krylov space becomes invariant after a few steps and
+    # the remaining wanted pairs have eigenvalue 0.
+    x = np.random.default_rng(8).standard_normal((n, d))
+    x -= x.mean(axis=0)
+    a = x @ x.T
+    a = (a + a.T) / 2.0
+    assert eigen._krylov_top(a, m) is not None
+    full = sym_eig(a)
+    dec = sym_eig(a, m)
+    assert np.abs(dec.values - full.values[:m]).max() <= 1e-12 * full.values[0]
+    assert np.abs(dec.vectors.T @ dec.vectors - np.eye(m)).max() <= 1e-12
+    assert np.abs(a @ dec.vectors - dec.vectors * dec.values).max() <= 1e-12 * full.values[0]
+
+
+def test_top_m_negative_block_cannot_hide_wanted_pair():
     # Ten negative eigenvalues larger in magnitude than the wanted positive
-    # pair fill the block; its top Ritz pairs converge to -11 and -12, and
-    # only the fallback finds 1.0 and 0.9.
+    # pair: an iteration that favours large |lambda| converges to -11 and
+    # -12 instead.  Ritz values of a Krylov space never exceed the
+    # eigenvalues they approximate, so the top pair is 1.0 and 0.9.
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
     w = np.concatenate([[1.0, 0.9], -np.arange(11.0, 21.0), np.full(188, 0.01)])
     a = (q * w) @ q.T
-    dec = sym_eig((a + a.T) / 2.0, 2)
+    a = (a + a.T) / 2.0
+    assert eigen._krylov_top(a, 2) is not None
+    dec = sym_eig(a, 2)
     assert np.allclose(dec.values, [1.0, 0.9], atol=1e-12)
 
 
 def test_top_m_falls_back_when_sweeps_run_out(monkeypatch):
     a = psd_with_gap(4, 120)
     full = sym_eig(a)
-    monkeypatch.setattr(eigen, "_sweep_cap", lambda n, b: 1)
-    assert eigen._subspace_top(a, 3) is None
+    assert eigen._krylov_top(a, 3) is not None
+    # One block only: the cap is reached before the pairs certify.
+    monkeypatch.setattr(eigen, "_basis_cap", lambda n, b: b)
+    monkeypatch.setattr(eigen, "_MIN_STEPS", 1)
+    assert eigen._krylov_top(a, 3) is None
     dec = sym_eig(a, 3)
     assert np.array_equal(dec.values, full.values[:3])
     assert np.array_equal(dec.vectors, full.vectors[:, :3])
@@ -175,7 +197,7 @@ def test_top_m_falls_back_when_sweeps_run_out(monkeypatch):
 
 def test_top_m_small_n_is_truncated_full_solve():
     rng = np.random.default_rng(6)
-    a = random_symmetric(rng, 30)  # 4 * (2 + 8) > 30: no iteration
+    a = random_symmetric(rng, 30)  # cap 15 < 8 steps of 2: no iteration
     full = sym_eig(a)
     dec = sym_eig(a, 2)
     assert np.array_equal(dec.values, full.values[:2])
@@ -195,3 +217,35 @@ def test_top_m_deterministic_repeat():
 def test_top_m_out_of_range_rejected(m):
     with pytest.raises(ValueError, match="outside"):
         sym_eig(np.eye(30), m)
+
+
+def with_spectrum(seed, top, n):
+    """Q diag(w) Q^T whose leading eigenvalues are ``top``, then a gapped tail."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = np.concatenate([top, 0.5 * 0.8 ** np.arange(n - len(top))])
+    a = (q * w) @ q.T
+    return (a + a.T) / 2.0
+
+
+@pytest.mark.parametrize("top", [[1.0, 1.0], [1.0, 1.0, 1.0]])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [20, 200])
+def test_top_m_returns_every_copy_of_a_repeated_eigenvalue(top, m, n):
+    # n=20 is solved by eigh; n=200 by block Lanczos.  A block narrower than
+    # the multiplicity would find only some of the copies.
+    a = with_spectrum(9, top, n)
+    if n == 200:
+        assert eigen._krylov_top(a, m) is not None
+    full = sym_eig(a)
+    dec = sym_eig(a, m)
+    assert np.abs(dec.values - full.values[:m]).max() <= 1e-12
+    assert np.allclose(dec.values, (top + [0.5])[:m], atol=1e-12)
+    assert np.abs(dec.vectors.T @ dec.vectors - np.eye(m)).max() <= 1e-12
+    resid = a @ dec.vectors - dec.vectors * dec.values
+    assert np.abs(resid).max() <= 1e-11
+    # Each vector lies in the eigenspace of its value, which eigh spans.
+    for value in set(dec.values.tolist()):
+        span = full.vectors[:, np.abs(full.values - value) <= 1e-9]
+        mine = dec.vectors[:, dec.values == value]
+        assert np.abs(mine - span @ (span.T @ mine)).max() <= 1e-10

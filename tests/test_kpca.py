@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from kpca_lab import eigen, kpca
 from kpca_lab.eigen import sym_eig
 from kpca_lab.data import SpheresParams, gen_two_spheres
-from kpca_lab.kernels import KernelSpec, kernel_matrix
+from kpca_lab.kernels import KernelSpec, center_cross, center_gram, kernel_matrix
 from kpca_lab.kpca import (
     PreimageConfig,
     PreimageDivergenceError,
@@ -34,27 +35,29 @@ def column_sign_align(a, b):
 
 
 def test_identical_points_retain_nothing():
-    for n in (4, 60):  # full eigh; top-m subspace iteration
+    for n in (4, 60):  # full eigh; top-m block Lanczos
         x = np.ones((n, 2))
         model = fit_kpca(x, KernelSpec.gaussian(1.0), 3)
         assert model.n_components == 0
         assert kpca_transform(model, x).shape == (n, 0)
 
 
-@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
 def test_top_m_fit_matches_full_eigh_fit(monkeypatch, m):
+    # m = 6, 8 and 10 ran out of subspace-iteration sweeps on this data and
+    # paid for eigh as well; block Lanczos certifies all of them.
     x = gen_two_spheres(SpheresParams(n=300, seed=8)).features
     spec = KernelSpec.gaussian(select_sigma(x))
     solved = []
-    iterate = eigen._subspace_top
+    iterate = eigen._krylov_top
 
     def spy(a, m):
         solved.append(iterate(a, m))
         return solved[-1]
 
-    monkeypatch.setattr(eigen, "_subspace_top", spy)
+    monkeypatch.setattr(eigen, "_krylov_top", spy)
     top = fit_kpca(x, spec, m)
-    assert solved and solved[0] is not None  # the iteration, not the fallback
+    assert solved and solved[0] is not None  # block Lanczos, not the fallback
     monkeypatch.setattr(kpca, "sym_eig", lambda a, m=None: sym_eig(a))
     full = fit_kpca(x, spec, m)
     assert top.n_components == full.n_components == m
@@ -128,6 +131,55 @@ def test_transform_single_row_consistency():
     full = kpca_transform(model, x)
     one = kpca_transform(model, x[4:5])
     assert np.allclose(one[0], full[4], atol=1e-12)
+
+
+def centred_transform(model, q):
+    """Reference transform: the explicitly centred T x N block times the coefficients."""
+    k_test = kernel_matrix(model.spec, q, model.training)
+    return center_cross(k_test, model.train_col_means) @ model.coefficients
+
+
+@pytest.mark.parametrize("case", ["far queries", "polynomial", "no components"])
+def test_transform_matches_explicitly_centred_block(case):
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((80, 3))
+    q = rng.standard_normal((25, 3))
+    if case == "far queries":
+        # Every kernel value is ~0, so the centring terms are the whole result.
+        spec = KernelSpec.gaussian(1.0)
+        q += 30.0
+    elif case == "polynomial":
+        spec = KernelSpec.polynomial(3, 1.0)
+    else:
+        spec = KernelSpec.gaussian(1.0)
+        x = np.ones((80, 3))
+    model = fit_kpca(x, spec, 5)
+    assert model.coefficients.flags.c_contiguous
+    got = kpca_transform(model, q)
+    expected = centred_transform(model, q)
+    assert got.shape == expected.shape == (25, model.n_components)
+    assert model.n_components == (0 if case == "no components" else 5)
+    assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * np.abs(expected).max(initial=0.0)
+
+
+@pytest.mark.parametrize("stage", ["fit", "transform"])
+def test_fit_and_transform_allocate_one_n_by_n_array(stage):
+    # Besides the N x N kernel matrix, only temporaries of about 2 MB (a
+    # quarter of it at this N) and N x M arrays may be allocated.
+    n = 1000
+    x = gen_two_spheres(SpheresParams(n=n, seed=3)).features
+    spec = KernelSpec.gaussian(select_sigma(x))
+    model = fit_kpca(x, spec, 2) if stage == "transform" else None
+    tracemalloc.start()
+    try:
+        if stage == "fit":
+            fit_kpca(x, spec, 2)
+        else:
+            kpca_transform(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * n * n * 8
 
 
 def test_transform_dimension_mismatch():
@@ -354,3 +406,17 @@ def test_train_col_means_are_uncentered_gram_means():
     k = kernel_matrix(spec, x, x)
     assert np.array_equal(model.train_col_means, k.mean(axis=1))
     assert np.allclose(model.train_col_means, k.mean(axis=0), rtol=1e-14)
+
+
+def test_fit_centres_the_gram_in_place_as_center_gram_does(monkeypatch):
+    x = small_spheres()
+    spec = KernelSpec.gaussian(select_sigma(x))
+    seen = []
+
+    def spy(a, m=None):
+        seen.append(a.copy())
+        return sym_eig(a, m)
+
+    monkeypatch.setattr(kpca, "sym_eig", spy)
+    fit_kpca(x, spec, 3)
+    assert np.array_equal(seen[0], center_gram(kernel_matrix(spec, x, x)))
