@@ -1,4 +1,12 @@
-"""Kernel evaluation, kernel-matrix construction, and Gram centering."""
+"""Kernel evaluation, kernel-matrix construction, and Gram centering.
+
+Self tables (``kernel_matrix(spec, x, x)``, ``sq_dists(x, x)``) are exactly
+symmetric because each is built from one self-product ``x @ x.T``: BLAS
+computes one triangle of it and numpy mirrors that triangle, and numpy's
+loop without BLAS sums entry (i, j) in the same order as (j, i).  Every
+later step is elementwise or adds symmetric terms, so no triangle is
+copied by hand.
+"""
 
 from __future__ import annotations
 
@@ -64,9 +72,18 @@ def _as_matrix(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def _mirror_upper(k: np.ndarray) -> np.ndarray:
-    # Exact symmetry for the self-kernel case, independent of BLAS rounding.
-    return np.triu(k) + np.triu(k, 1).T
+def _operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # C-contiguous float rows of equal dimension; a self call gets one array
+    # back for both, so ``a @ b.T`` stays a self-product.  numpy would copy
+    # a layout BLAS cannot read (a column-strided view) once per operand.
+    same = a is b
+    a = np.ascontiguousarray(_as_matrix(a, "a"))
+    b = a if same else np.ascontiguousarray(_as_matrix(b, "b"))
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(
+            f"feature dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
+        )
+    return a, b
 
 
 # Entries per block temporary (2 MB of float64).  A block of rows that each
@@ -80,102 +97,82 @@ def block_rows(n: int, d: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(n, d, 1))
 
 
-def sq_dist_blocks(a: np.ndarray, b: np.ndarray, upper: bool = False):
-    """Yield ``(i0, i1, j0, d2)``: unclamped squared distances of a[i0:i1] to b[j0:].
+def sq_dist_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield ``(i0, i1, d2)``: unclamped squared distances of a[i0:i1] to b.
 
     Both operands are shifted by the mean of ``b`` first; distances do not
     change, and the shift removes the cancellation of |a|^2 + |b|^2 - 2ab
     for data far from the origin.  ``b`` is shifted once and ``a`` one block
-    at a time, or not at all when ``a`` is ``b``.  With ``upper`` (only when
-    ``a`` is ``b``) each block starts at its diagonal, j0 = i0, so the blocks
-    cover the upper triangle.  Each ``d2`` is a fresh block temporary; a
-    caller that drops it before asking for the next block keeps only one
-    alive at a time.
+    at a time.  Each ``d2`` is a fresh block temporary; a caller that drops
+    it before asking for the next block keeps only one alive at a time.
     """
-    same = a is b
     shift = b.mean(axis=0)
     b = b - shift
     nb = np.einsum("ij,ij->i", b, b)
     step = block_rows(*b.shape)
     for i0 in range(0, a.shape[0], step):
         i1 = min(i0 + step, a.shape[0])
-        if same:
-            a_blk, na = b[i0:i1], nb[i0:i1]
-        else:
-            a_blk = a[i0:i1] - shift
-            na = np.einsum("ij,ij->i", a_blk, a_blk)
-        j0 = i0 if upper else 0
-        d2 = a_blk @ b[j0:].T
+        a_blk = a[i0:i1] - shift
+        d2 = a_blk @ b.T
         d2 *= -2.0
-        d2 += na[:, None]
-        d2 += nb[None, j0:]
-        yield i0, i1, j0, d2
+        d2 += np.einsum("ij,ij->i", a_blk, a_blk)[:, None]
+        d2 += nb
+        yield i0, i1, d2
         del d2
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances: entry [i, j] = |a_i - b_j|^2.
 
-    Works in row blocks of ``a``: one matrix product per block, clamped at
-    0 and written straight into the result, so besides the result only a
-    shifted copy of ``b`` and one block temporary of about ``_BLOCK_ENTRIES``
-    entries at a time are allocated.  When ``a`` and ``b`` are the same object
-    only the diagonal and upper blocks are computed and then mirrored, so
-    the result is exactly symmetric with an exactly-zero diagonal.
+    Both operands are shifted by the mean of ``b`` (see
+    :func:`sq_dist_blocks`), and the result is clamped at 0.  Besides it,
+    only a shifted copy of ``b`` and block temporaries of about
+    ``_BLOCK_ENTRIES`` entries are allocated.  The self case (``a is b``)
+    starts from the self-product G = b b^T and finishes it in row blocks as
+    -2 G_ij + (|b_i|^2 + |b_j|^2), a sum of symmetric terms, so the result is
+    exactly symmetric; its diagonal is set to exactly 0.
     """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"feature dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
-    same = a is b
-    out = np.empty((a.shape[0], b.shape[0]))
-    diagonal = []
-    for i0, i1, j0, d2 in sq_dist_blocks(a, b, upper=same):
-        np.maximum(d2, 0.0, out=out[i0:i1, j0:])
-        del d2
-        if same:
-            out[i0:i1, :i0] = out[:i0, i0:i1].T
-            diagonal.append((i0, i1))
-    # Mirrored once the last block temporary is gone, so that the two never
-    # coexist.
-    for i0, i1 in diagonal:
-        out[i0:i1, i0:i1] = _mirror_upper(out[i0:i1, i0:i1])
-    if same:
-        np.fill_diagonal(out, 0.0)
+    a, b = _operands(a, b)
+    if a is not b:
+        out = np.empty((a.shape[0], b.shape[0]))
+        for i0, i1, d2 in sq_dist_blocks(a, b):
+            np.maximum(d2, 0.0, out=out[i0:i1])
+            del d2
+        return out
+    b = b - b.mean(axis=0)
+    nb = np.einsum("ij,ij->i", b, b)
+    out = b @ b.T
+    step = block_rows(*b.shape)
+    for i0 in range(0, b.shape[0], step):
+        blk = out[i0:i0 + step]
+        blk *= -2.0
+        blk += np.add.outer(nb[i0:i0 + step], nb)
+        np.maximum(blk, 0.0, out=blk)
+    np.fill_diagonal(out, 0.0)
     return out
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise kernel table: entry [i, j] = kernel(a_i, b_j).
 
-    When ``a`` and ``b`` are the same object the result is made exactly
-    symmetric, and for the gaussian kernel the diagonal is exactly 1.
+    The table is the only N x M array allocated.  When ``a`` and ``b`` are
+    the same object the result is exactly symmetric: the linear and
+    polynomial kernels start from numpy's self-product a a^T, and the
+    gaussian kernel from the exactly symmetric :func:`sq_dists`, with its
+    diagonal set to exactly 1.
     """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"feature dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
-    same = a is b
+    a, b = _operands(a, b)
     if spec.kind == "gaussian":
-        # Blocked |a|^2 + |b|^2 - 2ab distances (see sq_dists), then exp in
-        # place: beyond the N x M result, memory is one shifted copy of b
-        # (M x D) plus block temporaries of ~2 MB.  The self case is exactly
-        # symmetric, and its diagonal is set to 1.
         k = sq_dists(a, b)
         k *= -1.0 / (2.0 * spec.width**2)
         np.exp(k, out=k)
-        if same:
+        if a is b:
             np.fill_diagonal(k, 1.0)
         return k
     k = a @ b.T
     if spec.kind == "polynomial":
-        k = (k + spec.offset) ** spec.degree
-    if same:
-        k = _mirror_upper(k)
+        k += spec.offset
+        k **= spec.degree
     return k
 
 

@@ -16,8 +16,8 @@ gamma_i = sum_k y_k a_ki are adjusted to g_i = gamma_i - mean(gamma) + 1/N;
 this accounts for the implicit feature mean and keeps pre-images anchored to
 the data region.
 
-:func:`kpca_preimages` iterates a batch of rows on the distances of
-:func:`kernels.sq_dists`; :func:`kpca_preimage` is its one-row form.
+:func:`kpca_preimages` iterates a batch of rows on the gaussian table of
+:func:`kernels.kernel_matrix`; :func:`kpca_preimage` is its one-row form.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import sym_eig
-from .kernels import KernelSpec, block_rows, kernel_matrix, sq_dist_blocks, sq_dists
+from .kernels import KernelSpec, block_rows, kernel_matrix, sq_dist_blocks
 
 # Components with raw centered-Gram eigenvalue <= DROP_RTOL * largest are
 # treated as numerically zero and dropped.
@@ -183,16 +183,11 @@ def kpca_transform(model: KpcaModel, q: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {model.n_features} features, got {q.shape[1]}"
         )
-    k_test = kernel_matrix(model.spec, q, model.training)
     a = model.coefficients
-    n, m = a.shape
-    prod = k_test @ np.hstack([a, np.full((n, 1), 1.0 / n)])
-    y, row_means = prod[:, :m], prod[:, m:]
-    a_sums = a.sum(axis=0)
-    y -= model.train_col_means @ a
-    y -= row_means * a_sums
-    y += model.train_col_means.mean() * a_sums
-    return np.ascontiguousarray(y)
+    a_bar = a - a.mean(axis=0)
+    y = kernel_matrix(model.spec, q, model.training) @ a_bar
+    y -= model.train_col_means @ a_bar
+    return y
 
 
 def preimage_weights(model: KpcaModel, y: np.ndarray) -> np.ndarray:
@@ -245,16 +240,13 @@ def kpca_preimages(
     z = np.tile(start, (t, 1))
     iterations = np.zeros(t, dtype=int)
     status = np.full(t, "max-iterations")
-    scale = -1.0 / (2.0 * model.spec.width**2)
     chunk = block_rows(*x.shape)
     for c0 in range(0, t, chunk):
         active = np.arange(c0, min(c0 + chunk, t))
         weights = preimage_weights(model, ys[active])
         for iteration in range(1, cfg.max_iterations + 1):
             z_active = z[active]
-            w = sq_dists(z_active, x)
-            w *= scale
-            np.exp(w, out=w)
+            w = kernel_matrix(model.spec, z_active, x)
             w *= weights
             denom = w.sum(axis=1)
             iterations[active] = iteration
@@ -308,8 +300,10 @@ def select_sigma(x: np.ndarray) -> float:
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 rows, got {n}")
+    if not np.isfinite(x).all():
+        raise ValueError("data matrix contains non-finite entries")
     nearest = np.empty(n, dtype=np.intp)
-    for i0, i1, _, d2 in sq_dist_blocks(x, x):
+    for i0, i1, d2 in sq_dist_blocks(x, x):
         rows = np.arange(i0, i1)
         d2[rows - i0, rows] = np.inf
         nearest[i0:i1] = d2.argmin(axis=1)

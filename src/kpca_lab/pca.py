@@ -60,7 +60,6 @@ def fit_pca(x: np.ndarray, m: int) -> PcaModel:
     mean = x.mean(axis=0)
     xc = x - mean
     cov = xc.T @ xc / n
-    cov = np.triu(cov) + np.triu(cov, 1).T
     dec = sym_eig(cov)
     values = np.maximum(dec.values[:m], 0.0)
     return PcaModel(mean=mean, basis=dec.vectors[:, :m].copy(), eigenvalues=values)

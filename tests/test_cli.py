@@ -131,6 +131,22 @@ def test_embed_missing_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+@pytest.mark.parametrize("sigma", ["auto", "1"])
+def test_embed_rejects_non_finite_cells(tmp_path, capsys, cell, sigma):
+    data = gen_spheres(tmp_path, n=20)
+    rows = (data / "features.csv").read_text().splitlines()
+    rows[3] = ",".join([cell] + rows[3].split(",")[1:])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert main(["embed", "--method", "kpca", "--sigma", sigma,
+                 "--input", str(bad), "--out", str(out)]) == 1
+    assert "error: data matrix contains non-finite entries" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_classify_identical_train_test(tmp_path):
     data = gen_spheres(tmp_path, n=40)
     embed_out = tmp_path / "embed"

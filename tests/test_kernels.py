@@ -102,6 +102,35 @@ def test_linear_self_matrix_exactly_symmetric():
     assert np.allclose(k, x @ x.T, atol=1e-12)
 
 
+@pytest.mark.parametrize("rows_per_block", [None, 1, 4])
+@pytest.mark.parametrize("layout", ["C", "F", "row-strided", "column-strided"])
+@pytest.mark.parametrize("spec", [KernelSpec.linear(), KernelSpec.polynomial(3, 1.0),
+                                  KernelSpec.gaussian(2.5)], ids=lambda s: s.kind)
+def test_self_tables_exactly_symmetric(monkeypatch, spec, layout, rows_per_block):
+    # At 300 x 7, numpy 2.x multiplies a view with no unit stride through two
+    # separate copies, and that product is not exactly symmetric; the
+    # self tables must be in every layout.
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((300, 7)) * 3.0 + 1.0
+    expected = kernel_matrix(spec, x, x), sq_dists(x, x)
+    v = {"C": x, "F": np.asfortranarray(x),
+         "row-strided": np.repeat(x, 2, axis=0)[::2],
+         "column-strided": np.repeat(x, 2, axis=1)[:, ::2]}[layout]
+    assert np.array_equal(v, x)
+    if rows_per_block is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 300)
+    k, d2 = kernel_matrix(spec, v, v), sq_dists(v, v)
+    for table, ref in ((k, expected[0]), (d2, expected[1])):
+        assert table.shape == (300, 300)
+        assert np.array_equal(table, table.T)
+        # Blocks only split the elementwise finishing, and every layout is
+        # multiplied as the same C-ordered values: the tables are bit-equal.
+        assert np.array_equal(table, ref)
+    assert np.array_equal(np.diag(d2), np.zeros(300))
+    if spec.kind == "gaussian":
+        assert np.array_equal(np.diag(k), np.ones(300))
+
+
 def test_kernel_matrix_dimension_mismatch():
     with pytest.raises(ValueError):
         kernel_matrix(KernelSpec.linear(), np.zeros((2, 3)), np.zeros((2, 4)))

@@ -139,7 +139,8 @@ def centred_transform(model, q):
     return center_cross(k_test, model.train_col_means) @ model.coefficients
 
 
-@pytest.mark.parametrize("case", ["far queries", "polynomial", "no components"])
+@pytest.mark.parametrize("case", ["far queries", "polynomial", "no components",
+                                  "unbalanced coefficients"])
 def test_transform_matches_explicitly_centred_block(case):
     rng = np.random.default_rng(37)
     x = rng.standard_normal((80, 3))
@@ -152,8 +153,18 @@ def test_transform_matches_explicitly_centred_block(case):
         spec = KernelSpec.polynomial(3, 1.0)
     else:
         spec = KernelSpec.gaussian(1.0)
-        x = np.ones((80, 3))
+        if case == "no components":
+            x = np.ones((80, 3))
     model = fit_kpca(x, spec, 5)
+    if case == "unbalanced coefficients":
+        # A fitted model's coefficient columns sum to ~0; the transform must
+        # not rely on that.
+        coefficients = model.coefficients + rng.standard_normal((1, 5))
+        assert np.abs(coefficients.sum(axis=0)).min() > 1.0
+        model = kpca.KpcaModel(training=model.training, spec=spec,
+                               coefficients=coefficients,
+                               eigenvalues=model.eigenvalues,
+                               train_col_means=model.train_col_means)
     assert model.coefficients.flags.c_contiguous
     got = kpca_transform(model, q)
     expected = centred_transform(model, q)
@@ -162,13 +173,22 @@ def test_transform_matches_explicitly_centred_block(case):
     assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * np.abs(expected).max(initial=0.0)
 
 
-@pytest.mark.parametrize("stage", ["fit", "transform"])
-def test_fit_and_transform_allocate_one_n_by_n_array(stage):
+@pytest.mark.parametrize("stage, kind", [
+    pytest.param("fit", "gaussian", id="fit"),
+    pytest.param("transform", "gaussian", id="transform"),
+    pytest.param("fit", "linear", id="fit-linear"),
+    pytest.param("transform", "linear", id="transform-linear"),
+    pytest.param("fit", "polynomial", id="fit-polynomial"),
+    pytest.param("transform", "polynomial", id="transform-polynomial"),
+])
+def test_fit_and_transform_allocate_one_n_by_n_array(stage, kind):
     # Besides the N x N kernel matrix, only temporaries of about 2 MB (a
     # quarter of it at this N) and N x M arrays may be allocated.
     n = 1000
     x = gen_two_spheres(SpheresParams(n=n, seed=3)).features
-    spec = KernelSpec.gaussian(select_sigma(x))
+    spec = {"gaussian": lambda: KernelSpec.gaussian(select_sigma(x)),
+            "linear": KernelSpec.linear,
+            "polynomial": lambda: KernelSpec.polynomial(2, 1.0)}[kind]()
     model = fit_kpca(x, spec, 2) if stage == "transform" else None
     tracemalloc.start()
     try:
@@ -396,6 +416,15 @@ def test_select_sigma_duplicates_far_from_origin_exactly_zero():
 def test_select_sigma_needs_two_rows():
     with pytest.raises(ValueError):
         select_sigma(np.array([[1.0, 2.0]]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_select_sigma_rejects_non_finite_data(bad):
+    x = small_spheres()
+    x[7, 1] = bad
+    with pytest.raises(ValueError, match="data matrix contains non-finite entries"):
+        select_sigma(x)
 
 
 def test_train_col_means_are_uncentered_gram_means():

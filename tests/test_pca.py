@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from kpca_lab import pca
+from kpca_lab.eigen import sym_eig
 from kpca_lab.pca import fit_pca, fit_pca_dual, pca_project, pca_reconstruct
 
 TWO_POINTS = np.array([[0.0, 0.0], [2.0, 0.0]])
@@ -28,6 +30,25 @@ def test_eigenvalue_sum_equals_covariance_trace():
     xc = x - x.mean(axis=0)
     trace = (xc**2).sum() / 20.0
     assert model.eigenvalues.sum() == pytest.approx(trace, rel=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(300, 7), (20, 50), (1000, 3)])
+def test_covariance_is_the_exactly_symmetric_self_product(monkeypatch, shape):
+    # The covariance goes to sym_eig as numpy's self-product, with no
+    # triangle copied by hand: it equals the upper triangle mirrored.
+    rng = np.random.default_rng(25)
+    x = np.repeat(rng.standard_normal(shape) * 3.0 + 1.0, 2, axis=1)[:, ::2]
+    seen = []
+
+    def spy(a, m=None):
+        seen.append(a.copy())
+        return sym_eig(a, m)
+
+    monkeypatch.setattr(pca, "sym_eig", spy)
+    fit_pca(x, 2)
+    xc = x - x.mean(axis=0)
+    cov = xc.T @ xc / shape[0]
+    assert np.array_equal(seen[0], np.triu(cov) + np.triu(cov, 1).T)
 
 
 def test_projected_variance_equals_eigenvalues():
