@@ -1,5 +1,12 @@
 """Kernel evaluation, kernel-matrix construction, and Gram centering.
 
+Kernel tables are built in row blocks of :func:`block_rows` rows, about
+2 MB each, and every elementwise step (distance finishing, clamp, gaussian
+scale and ``exp``, polynomial offset and power) runs on a block while it is
+still in cache, not in separate passes over the whole table.
+:func:`kernel_blocks` yields the finished rows of a cross table one block
+at a time, so a caller that contracts each block never holds the table.
+
 Self tables (``kernel_matrix(spec, x, x)``, ``sq_dists(x, x)``) are exactly
 symmetric because each is built from one self-product ``x @ x.T``: BLAS
 computes one triangle of it and numpy mirrors that triangle, and numpy's
@@ -121,6 +128,53 @@ def sq_dist_blocks(a: np.ndarray, b: np.ndarray):
         del d2
 
 
+def _finish(spec: KernelSpec | None, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Finish raw rows into kernel rows in ``out``, which may be ``raw`` itself.
+
+    For ``spec`` None or gaussian the raw rows are squared distances: they
+    are clamped at 0 and, for the gaussian kernel, scaled by -1/(2 sigma^2)
+    and exponentiated.  For linear and polynomial kernels they are dot
+    products already in ``out``; the polynomial kernel adds its offset and
+    raises to its degree.
+    """
+    if spec is None or spec.kind == "gaussian":
+        np.maximum(raw, 0.0, out=out)
+        if spec is not None:
+            out *= -1.0 / (2.0 * spec.width**2)
+            np.exp(out, out=out)
+    elif spec.kind == "polynomial":
+        out += spec.offset
+        out **= spec.degree
+    return out
+
+
+def _self_table(spec: KernelSpec | None, x: np.ndarray) -> np.ndarray:
+    """Self table of the rows ``x``: squared distances (``spec`` None) or kernel.
+
+    One self-product G = x x^T, of the rows shifted by their mean for the
+    distance-based tables, is the only N x N array.  Each block of
+    :func:`block_rows` rows is then finished in place while it is in cache:
+    distances as -2 G_ij + (|x_i|^2 + |x_j|^2), a sum of symmetric terms,
+    then :func:`_finish`.  The table is exactly symmetric; a distance
+    diagonal is set to exactly 0, a gaussian one to exactly 1.
+    """
+    dist = spec is None or spec.kind == "gaussian"
+    if dist:
+        x = x - x.mean(axis=0)
+        nx = np.einsum("ij,ij->i", x, x)
+    out = x @ x.T
+    step = block_rows(*x.shape)
+    for i0 in range(0, x.shape[0], step):
+        blk = out[i0:i0 + step]
+        if dist:
+            blk *= -2.0
+            blk += np.add.outer(nx[i0:i0 + step], nx)
+        _finish(spec, blk, blk)
+    if dist:
+        np.fill_diagonal(out, 0.0 if spec is None else 1.0)
+    return out
+
+
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances: entry [i, j] = |a_i - b_j|^2.
 
@@ -128,52 +182,66 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     :func:`sq_dist_blocks`), and the result is clamped at 0.  Besides it,
     only a shifted copy of ``b`` and block temporaries of about
     ``_BLOCK_ENTRIES`` entries are allocated.  The self case (``a is b``)
-    starts from the self-product G = b b^T and finishes it in row blocks as
-    -2 G_ij + (|b_i|^2 + |b_j|^2), a sum of symmetric terms, so the result is
-    exactly symmetric; its diagonal is set to exactly 0.
+    is finished block by block from the one self-product, as the gaussian
+    self table is, so it is exactly symmetric with a zero diagonal.
     """
     a, b = _operands(a, b)
-    if a is not b:
-        out = np.empty((a.shape[0], b.shape[0]))
-        for i0, i1, d2 in sq_dist_blocks(a, b):
-            np.maximum(d2, 0.0, out=out[i0:i1])
-            del d2
-        return out
-    b = b - b.mean(axis=0)
-    nb = np.einsum("ij,ij->i", b, b)
-    out = b @ b.T
-    step = block_rows(*b.shape)
-    for i0 in range(0, b.shape[0], step):
-        blk = out[i0:i0 + step]
-        blk *= -2.0
-        blk += np.add.outer(nb[i0:i0 + step], nb)
-        np.maximum(blk, 0.0, out=blk)
-    np.fill_diagonal(out, 0.0)
+    if a is b:
+        return _self_table(None, a)
+    out = np.empty((a.shape[0], b.shape[0]))
+    for i0, i1, d2 in sq_dist_blocks(a, b):
+        np.maximum(d2, 0.0, out=out[i0:i1])
+        del d2
     return out
+
+
+def kernel_blocks(spec: KernelSpec, a: np.ndarray, b: np.ndarray,
+                  out: np.ndarray | None = None):
+    """Yield ``(i0, i1, k)``: finished kernel rows k = kernel(a[i0:i1], b).
+
+    Rows come in blocks of :func:`block_rows`, and every elementwise step
+    runs on a block while it is in cache: gaussian rows are the squared
+    distances of :func:`sq_dist_blocks`, clamped, scaled and exponentiated
+    in place; linear and polynomial rows are a[i0:i1] b^T with the
+    polynomial offset and power.  Each ``k`` is a fresh block temporary, or
+    the slice ``out[i0:i1]`` of a given len(a) x len(b) table, written once.
+    The generator drops its block before computing the next, so a caller
+    that does the same keeps only one block alive.
+    ``a`` and ``b`` are treated as different rows even when they are the
+    same object; :func:`kernel_matrix` builds the exactly symmetric self
+    table.
+    """
+    a, b = _operands(a, b)
+    if spec.kind == "gaussian":
+        for i0, i1, d2 in sq_dist_blocks(a, b):
+            yield i0, i1, _finish(spec, d2, d2 if out is None else out[i0:i1])
+            del d2
+        return
+    step = block_rows(*b.shape)
+    for i0 in range(0, a.shape[0], step):
+        i1 = min(i0 + step, a.shape[0])
+        k = np.matmul(a[i0:i1], b.T, out=None if out is None else out[i0:i1])
+        yield i0, i1, _finish(spec, k, k)
+        del k
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise kernel table: entry [i, j] = kernel(a_i, b_j).
 
-    The table is the only N x M array allocated.  When ``a`` and ``b`` are
-    the same object the result is exactly symmetric: the linear and
-    polynomial kernels start from numpy's self-product a a^T, and the
-    gaussian kernel from the exactly symmetric :func:`sq_dists`, with its
-    diagonal set to exactly 1.
+    The table is the only N x M array allocated; it is finished in row
+    blocks while they are in cache.  When ``a`` and ``b`` are the same
+    object the result is exactly symmetric: it is finished from numpy's
+    self-product (see :func:`_self_table`), and a gaussian diagonal is
+    exactly 1.  Otherwise each block of :func:`kernel_blocks` is written
+    straight into its slice of the table.
     """
     a, b = _operands(a, b)
-    if spec.kind == "gaussian":
-        k = sq_dists(a, b)
-        k *= -1.0 / (2.0 * spec.width**2)
-        np.exp(k, out=k)
-        if a is b:
-            np.fill_diagonal(k, 1.0)
-        return k
-    k = a @ b.T
-    if spec.kind == "polynomial":
-        k += spec.offset
-        k **= spec.degree
-    return k
+    if a is b:
+        return _self_table(spec, a)
+    out = np.empty((a.shape[0], b.shape[0]))
+    for _ in kernel_blocks(spec, a, b, out):
+        pass
+    return out
 
 
 def center_gram(k: np.ndarray) -> np.ndarray:
@@ -183,8 +251,9 @@ def center_gram(k: np.ndarray) -> np.ndarray:
     via row/column means.  Output rows and columns sum to ~0 and the result
     is symmetric to rounding.  The result is the only N x N array allocated.
 
-    Reference form: :func:`kpca.fit_kpca` applies the same operations in
-    place on its kernel matrix, bit-identically, and does not call this.
+    Reference form: :func:`kpca.fit_kpca` applies the same operations, in
+    the same order, in place on its kernel matrix one row block at a time,
+    so its result is bit-identical; it does not call this.
     """
     k = _as_matrix(k, "k")
     if k.shape[0] != k.shape[1]:
@@ -207,9 +276,9 @@ def center_cross(k_test: np.ndarray, col_means: np.ndarray) -> np.ndarray:
     back.  Rows equal to training rows reproduce the corresponding rows of
     the centered training Gram.
 
-    Reference form: :func:`kpca.kpca_transform` applies this centering to
-    the product with the coefficients, not to the T x N block, and does not
-    call this.
+    Reference form: :func:`kpca.kpca_transform` folds this centering into
+    its product with the coefficients, one block of kernel rows at a time,
+    so no T x N block exists there; it does not call this.
     """
     k_test = _as_matrix(k_test, "k_test")
     col_means = np.asarray(col_means, dtype=float)

@@ -28,7 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import sym_eig
-from .kernels import KernelSpec, block_rows, kernel_matrix, sq_dist_blocks
+from .kernels import (
+    KernelSpec, block_rows, kernel_blocks, kernel_matrix, sq_dist_blocks,
+)
 
 # Components with raw centered-Gram eigenvalue <= DROP_RTOL * largest are
 # treated as numerically zero and dropped.
@@ -120,7 +122,8 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     """Fit kernel PCA with up to ``m`` components.
 
     Steps: build the kernel matrix, keep its column means, center it in
-    place (the operations of :func:`kernels.center_gram`, so the result is
+    place in one pass of row blocks (the operations of
+    :func:`kernels.center_gram` in its order, so the result is
     bit-identical, but with no second N x N array), solve for its top ``m``
     eigenpairs only, keep those with positive raw eigenvalue, and rescale
     each eigenvector alpha_k (unit norm from the solver) to
@@ -143,9 +146,13 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
         raise ValueError(f"components M={m} outside [1, N] = [1, {n}]")
     k = kernel_matrix(spec, x, x)
     col_means = gram_col_means(k)
-    k -= col_means[:, None]
-    k -= col_means
-    k += col_means.mean()
+    grand = col_means.mean()
+    step = block_rows(n, n)
+    for i0 in range(0, n, step):
+        blk = k[i0:i0 + step]
+        blk -= col_means[i0:i0 + step, None]
+        blk -= col_means
+        blk += grand
     dec = sym_eig(k, m)
     raw = dec.values
     cutoff = DROP_RTOL * max(raw[0], 0.0)
@@ -165,16 +172,18 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
 def kpca_transform(model: KpcaModel, q: np.ndarray) -> np.ndarray:
     """Kernel principal components of query rows, as a T x M matrix.
 
-    Each query row is kernel-evaluated against the training set and the
-    T x N block contracted with the coefficient vectors; centering against
-    the training Gram comes after the product, so no centered T x N copy
-    is made.  With c the training column means, mu their mean and r the
-    query rows' kernel means, the centered block of
-    :func:`kernels.center_cross` is K - 1 c^T - r 1^T + mu 1 1^T, so
+    With K the T x N kernel rows of the queries against the training set,
+    c the training Gram's column means and mu their mean, the centered
+    block of :func:`kernels.center_cross` is K - 1 c^T - r 1^T + mu 1 1^T,
+    r being each query row's kernel mean.  That block maps the ones vector
+    to 0, so its product with the coefficients a equals its product with
+    the centered coefficients a~ = a - mean(a), and there the r and mu terms
+    vanish:
 
-        K~ a = K a - 1 (c.a) - r (1.a) + mu (1.a).
+        K~ a = K a~ - 1 (c.a~).
 
-    One product K [a | 1/N] gives both K a and r.
+    K a~ is computed one block of :func:`kernels.kernel_blocks` rows at a
+    time, so neither K nor its centered copy is ever held whole.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
@@ -185,7 +194,10 @@ def kpca_transform(model: KpcaModel, q: np.ndarray) -> np.ndarray:
         )
     a = model.coefficients
     a_bar = a - a.mean(axis=0)
-    y = kernel_matrix(model.spec, q, model.training) @ a_bar
+    y = np.empty((q.shape[0], a.shape[1]))
+    for i0, i1, k in kernel_blocks(model.spec, q, model.training):
+        np.matmul(k, a_bar, out=y[i0:i1])
+        del k
     y -= model.train_col_means @ a_bar
     return y
 

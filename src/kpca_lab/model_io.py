@@ -18,10 +18,17 @@ Layout (all integers and reals little-endian):
 The kernel-PCA training Gram's column means are not stored; loading
 rebuilds the Gram through the same deterministic kernel code path and takes
 its means with the same expression as fitting, then drops it.
+
+Loading rejects, with :class:`ModelFormatError` naming the file, any
+container that does not match this layout exactly: a short header or
+payload, bytes after the payload, a kpca header with N < 2 or M > N (a fit
+never writes one), and non-finite payload entries, which would make every
+projection NaN.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -66,14 +73,23 @@ def save_model(model: PcaModel | KpcaModel, path: str | Path) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def _take(buf: bytes, offset: int, count: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    end = offset + count * 8
+def _take(buf: bytes, offset: int, shape: tuple[int, ...], name: str) -> tuple[np.ndarray, int]:
+    end = offset + 8 * math.prod(shape)
     if end > len(buf):
         raise ModelFormatError(
             f"truncated payload: need {end} bytes, have {len(buf)}"
         )
     arr = np.frombuffer(buf[offset:end], dtype="<f8").astype(float).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise ModelFormatError(f"non-finite {name} entries")
     return arr, end
+
+
+def _end(buf: bytes, pos: int) -> None:
+    if pos != len(buf):
+        raise ModelFormatError(
+            f"{len(buf) - pos} trailing bytes after the payload"
+        )
 
 
 def load_model(path: str | Path) -> PcaModel | KpcaModel:
@@ -95,9 +111,10 @@ def _parse_model(buf: bytes) -> PcaModel | KpcaModel:
     pos = _HEADER.size
     if kind == 1:
         d, m = d0, d1
-        mean, pos = _take(buf, pos, d, (d,))
-        basis, pos = _take(buf, pos, d * m, (d, m))
-        values, pos = _take(buf, pos, m, (m,))
+        mean, pos = _take(buf, pos, (d,), "mean")
+        basis, pos = _take(buf, pos, (d, m), "basis")
+        values, pos = _take(buf, pos, (m,), "eigenvalue")
+        _end(buf, pos)
         return PcaModel(mean=mean, basis=basis, eigenvalues=values)
     if kind == 2:
         if kcode not in _KERNEL_NAMES:
@@ -110,9 +127,14 @@ def _parse_model(buf: bytes) -> PcaModel | KpcaModel:
         else:
             spec = KernelSpec.gaussian(width)
         n, d, m = d0, d1, d2
-        training, pos = _take(buf, pos, n * d, (n, d))
-        coeffs, pos = _take(buf, pos, n * m, (n, m))
-        values, pos = _take(buf, pos, m, (m,))
+        if n < 2:
+            raise ModelFormatError(f"kpca model needs N >= 2 training rows, header has {n}")
+        if m > n:
+            raise ModelFormatError(f"kpca model has M={m} components but only N={n} rows")
+        training, pos = _take(buf, pos, (n, d), "training")
+        coeffs, pos = _take(buf, pos, (n, m), "coefficient")
+        values, pos = _take(buf, pos, (m,), "eigenvalue")
+        _end(buf, pos)
         return KpcaModel(
             training=training,
             spec=spec,

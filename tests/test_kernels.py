@@ -131,6 +131,57 @@ def test_self_tables_exactly_symmetric(monkeypatch, spec, layout, rows_per_block
         assert np.array_equal(np.diag(k), np.ones(300))
 
 
+_BLOCKS = pytest.mark.parametrize("rows_per_block", [None, 1, 4],
+                                  ids=["default", "1-row", "4-row"])
+
+
+@_BLOCKS
+def test_gaussian_self_table_is_the_two_pass_form(monkeypatch, rows_per_block):
+    # The blocked loop clamps, scales and exponentiates each block of the
+    # self table while it is in cache; the values are those of finishing the
+    # whole distance table first and scaling and exponentiating it after.
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((300, 7)) * 3.0 + 1.0
+    width = 2.5
+    expected = sq_dists(x, x)
+    expected *= -1.0 / (2.0 * width**2)
+    np.exp(expected, out=expected)
+    np.fill_diagonal(expected, 1.0)
+    if rows_per_block is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 300)
+    assert np.array_equal(kernel_matrix(KernelSpec.gaussian(width), x, x), expected)
+
+
+@_BLOCKS
+@pytest.mark.parametrize("spec", [KernelSpec.linear(), KernelSpec.polynomial(3, 1.0),
+                                  KernelSpec.gaussian(2.5)], ids=lambda s: s.kind)
+def test_cross_kernel_matrix_matches_unblocked_form(monkeypatch, spec, rows_per_block):
+    rng = np.random.default_rng(22)
+    a = rng.standard_normal((90, 7)) * 3.0 + 1.0
+    b = rng.standard_normal((300, 7)) * 3.0 + 1.0
+    if rows_per_block is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 300)
+    if spec.kind == "gaussian":
+        # The distance rows at this block size, scaled and exponentiated
+        # after the whole table is built.
+        expected = sq_dists(a, b)
+        expected *= -1.0 / (2.0 * spec.width**2)
+        np.exp(expected, out=expected)
+    else:
+        expected = (a @ b.T + spec.offset) ** spec.degree
+    k = kernel_matrix(spec, a, b)
+    blocks = list(kernels.kernel_blocks(spec, a, b))
+    # The blocks tile the rows in order, and their rows are the table's.
+    assert [i0 for i0, _, _ in blocks] == [0] + [i1 for _, i1, _ in blocks[:-1]]
+    assert len(blocks) == -(-90 // (rows_per_block or 90))
+    assert np.array_equal(np.vstack([blk for _, _, blk in blocks]), k)
+    if spec.kind == "gaussian":
+        # Pre-images evaluate these rows on every iteration: bit-equal.
+        assert np.array_equal(k, expected)
+    else:
+        assert np.abs(k - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def test_kernel_matrix_dimension_mismatch():
     with pytest.raises(ValueError):
         kernel_matrix(KernelSpec.linear(), np.zeros((2, 3)), np.zeros((2, 4)))

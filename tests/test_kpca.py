@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kpca_lab import eigen, kpca
+from kpca_lab import eigen, kernels, kpca
 from kpca_lab.eigen import sym_eig
 from kpca_lab.data import SpheresParams, gen_two_spheres
 from kpca_lab.kernels import KernelSpec, center_cross, center_gram, kernel_matrix
@@ -21,6 +21,12 @@ from kpca_lab.kpca import (
     select_sigma,
 )
 from kpca_lab.pca import fit_pca, pca_project
+
+
+_KINDS = pytest.mark.parametrize("kind", ["linear", "polynomial", "gaussian"])
+# Block sizes for kernels._BLOCK_ENTRIES: the default, 1 row and 4 rows.
+_BLOCKS = pytest.mark.parametrize("rows_per_block", [None, 1, 4],
+                                  ids=["default", "1-row", "4-row"])
 
 
 def small_spheres(n=60, seed=5):
@@ -139,12 +145,20 @@ def centred_transform(model, q):
     return center_cross(k_test, model.train_col_means) @ model.coefficients
 
 
-@pytest.mark.parametrize("case", ["far queries", "polynomial", "no components",
-                                  "unbalanced coefficients"])
-def test_transform_matches_explicitly_centred_block(case):
+_CASES = ["far queries", "polynomial", "no components", "unbalanced coefficients"]
+
+
+# The default block size keeps the case's own id.
+@pytest.mark.parametrize("case, rows_per_block", [
+    pytest.param(case, rows, id=case if rows is None else f"{case}-{rows}-row")
+    for rows in (None, 1, 4) for case in _CASES])
+def test_transform_matches_explicitly_centred_block(monkeypatch, case, rows_per_block):
     rng = np.random.default_rng(37)
     x = rng.standard_normal((80, 3))
     q = rng.standard_normal((25, 3))
+    if rows_per_block is not None:
+        # Kernel rows against the 80 training rows come in blocks of this many.
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 80)
     if case == "far queries":
         # Every kernel value is ~0, so the centring terms are the whole result.
         spec = KernelSpec.gaussian(1.0)
@@ -200,6 +214,26 @@ def test_fit_and_transform_allocate_one_n_by_n_array(stage, kind):
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * n * n * 8
+
+
+@_KINDS
+def test_transform_holds_no_t_by_n_table(kind):
+    # The kernel rows are contracted one block at a time: besides T x M
+    # results and N x M coefficients, only a block of about 2 MB (0.07 of
+    # the T x N table at this size) and its temporaries are allocated.
+    n = 2000
+    x = gen_two_spheres(SpheresParams(n=n, seed=4)).features
+    spec = {"gaussian": lambda: KernelSpec.gaussian(select_sigma(x)),
+            "linear": KernelSpec.linear,
+            "polynomial": lambda: KernelSpec.polynomial(2, 1.0)}[kind]()
+    model = fit_kpca(x, spec, 2)
+    tracemalloc.start()
+    try:
+        kpca_transform(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * n * n * 8
 
 
 def test_transform_dimension_mismatch():
@@ -437,9 +471,16 @@ def test_train_col_means_are_uncentered_gram_means():
     assert np.allclose(model.train_col_means, k.mean(axis=0), rtol=1e-14)
 
 
-def test_fit_centres_the_gram_in_place_as_center_gram_does(monkeypatch):
+@_KINDS
+@_BLOCKS
+def test_fit_centres_the_gram_in_place_as_center_gram_does(monkeypatch, kind,
+                                                           rows_per_block):
     x = small_spheres()
-    spec = KernelSpec.gaussian(select_sigma(x))
+    spec = {"linear": KernelSpec.linear,
+            "polynomial": lambda: KernelSpec.polynomial(2, 1.0),
+            "gaussian": lambda: KernelSpec.gaussian(select_sigma(x))}[kind]()
+    if rows_per_block is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * len(x))
     seen = []
 
     def spy(a, m=None):

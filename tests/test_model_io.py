@@ -3,7 +3,7 @@ import pytest
 
 from kpca_lab.kernels import KernelSpec
 from kpca_lab.kpca import fit_kpca, kpca_transform
-from kpca_lab.model_io import MAGIC, ModelFormatError, load_model, save_model
+from kpca_lab.model_io import _HEADER, MAGIC, VERSION, ModelFormatError, load_model, save_model
 from kpca_lab.pca import fit_pca, pca_project
 
 
@@ -84,3 +84,64 @@ def test_rejects_unknown_version(tmp_path):
 def test_rejects_wrong_object():
     with pytest.raises(TypeError):
         save_model(object(), "unused.kpml")
+
+
+def write_kpca(path, n, d, m, training=None, coefficients=None, eigenvalues=None):
+    """A gaussian kpca container with the given header dimensions and payload."""
+    header = _HEADER.pack(MAGIC, VERSION, 2, 3, 0, 0.0, 1.5, n, d, m)
+    blocks = (np.ones(n * d) if training is None else training,
+              np.ones(n * m) if coefficients is None else coefficients,
+              np.ones(m) if eigenvalues is None else eigenvalues)
+    path.write_bytes(header + b"".join(np.asarray(b, dtype="<f8").tobytes()
+                                       for b in blocks))
+
+
+@pytest.mark.parametrize("kind", ["pca", "kpca"])
+def test_rejects_trailing_bytes(tmp_path, kind):
+    x = np.random.default_rng(62).standard_normal((6, 3))
+    model = fit_pca(x, 2) if kind == "pca" else fit_kpca(x, KernelSpec.gaussian(1.0), 2)
+    path = tmp_path / "m.kpml"
+    save_model(model, path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: 8 trailing bytes after the payload"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [0, 1])
+def test_rejects_kpca_header_with_fewer_than_two_rows(tmp_path, n):
+    # N = 0 used to load with NaN column means of an empty Gram.
+    path = tmp_path / "m.kpml"
+    write_kpca(path, n, 2, 0)
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == \
+        f"{path}: kpca model needs N >= 2 training rows, header has {n}"
+
+
+def test_rejects_more_components_than_rows(tmp_path):
+    path = tmp_path / "m.kpml"
+    write_kpca(path, 2, 1, 3)  # payload sized for the header
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: kpca model has M=3 components but only N=2 rows"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["training", "coefficient", "eigenvalue"])
+def test_rejects_non_finite_payload(tmp_path, block, bad):
+    # A NaN training row used to load with NaN column means, so every
+    # transform of the loaded model was NaN.
+    n, d, m = 4, 2, 2
+    payload = {"training": np.arange(n * d, dtype=float),
+               "coefficients": np.ones(n * m), "eigenvalues": np.ones(m)}
+    key = {"training": "training", "coefficient": "coefficients",
+           "eigenvalue": "eigenvalues"}[block]
+    payload[key][1] = bad
+    path = tmp_path / "m.kpml"
+    write_kpca(path, n, d, m, **payload)
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: non-finite {block} entries"
