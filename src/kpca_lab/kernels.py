@@ -7,6 +7,13 @@ still in cache, not in separate passes over the whole table.
 :func:`kernel_blocks` yields the finished rows of a cross table one block
 at a time, so a caller that contracts each block never holds the table.
 
+Every cross distance table is built on :class:`PreparedRows`: the
+right-hand rows are shifted by their mean, copied and their norms taken
+once, and each block of left rows then costs one product and elementwise
+finishing.  The pre-image fixed point keeps one for the training rows
+across its steps, so its rows are those of :func:`kernel_matrix`, bit for
+bit.
+
 Self tables (``kernel_matrix(spec, x, x)``, ``sq_dists(x, x)``) are exactly
 symmetric because each is built from one self-product ``x @ x.T``: BLAS
 computes one triangle of it and numpy mirrors that triangle, and numpy's
@@ -104,26 +111,58 @@ def block_rows(n: int, d: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(n, d, 1))
 
 
+class PreparedRows:
+    """The rows ``b`` prepared once as the right-hand side of squared distances.
+
+    Holds the mean of ``b`` (the shift), the shifted rows times -2 and
+    their norms, the part of the distances that does not depend on the left
+    rows.  Both sides are shifted by the mean of ``b``; distances do not
+    change, and the shift removes the cancellation of |a|^2 + |b|^2 - 2ab
+    for data far from the origin.  Scaling by -2 is exact, so the product
+    with the scaled rows rounds as a b^T scaled after it would.
+    :func:`sq_dist_blocks` prepares ``b`` once per call, and the pre-image
+    fixed point prepares the training rows once per batch; each then calls
+    :meth:`sq_dists` per block.
+    """
+
+    def __init__(self, b: np.ndarray):
+        self.shift = b.mean(axis=0)
+        rows = b - self.shift
+        self.norms = np.einsum("ij,ij->i", rows, rows)
+        rows *= -2.0
+        self.rows = rows
+
+    def sq_dists(self, a: np.ndarray) -> np.ndarray:
+        """Unclamped squared distances of the rows ``a`` to ``b``, a fresh array.
+
+        -2 a b^T + |a|^2 + |b|^2, with ``a`` shifted as ``b`` was.
+        """
+        a = a - self.shift
+        d2 = a @ self.rows.T
+        d2 += np.einsum("ij,ij->i", a, a)[:, None]
+        d2 += self.norms
+        return d2
+
+    def gaussian_rows(self, spec: KernelSpec, a: np.ndarray) -> np.ndarray:
+        """Gaussian kernel rows of ``a`` against ``b``: :meth:`sq_dists`, finished."""
+        d2 = self.sq_dists(a)
+        return _finish(spec, d2, d2)
+
+
 def sq_dist_blocks(a: np.ndarray, b: np.ndarray):
     """Yield ``(i0, i1, d2)``: unclamped squared distances of a[i0:i1] to b.
 
-    Both operands are shifted by the mean of ``b`` first; distances do not
-    change, and the shift removes the cancellation of |a|^2 + |b|^2 - 2ab
-    for data far from the origin.  ``b`` is shifted once and ``a`` one block
-    at a time.  Each ``d2`` is a fresh block temporary; a caller that drops
-    it before asking for the next block keeps only one alive at a time.
+    ``b`` is prepared once as :class:`PreparedRows`, and each block of
+    :func:`block_rows` rows of ``a`` goes through its
+    :meth:`~PreparedRows.sq_dists`.  Each ``d2`` is a fresh block temporary;
+    a caller that drops it before asking for the next block keeps only one
+    alive at a time.
     """
-    shift = b.mean(axis=0)
-    b = b - shift
-    nb = np.einsum("ij,ij->i", b, b)
+    side = PreparedRows(b)
     step = block_rows(*b.shape)
     for i0 in range(0, a.shape[0], step):
         i1 = min(i0 + step, a.shape[0])
-        a_blk = a[i0:i1] - shift
-        d2 = a_blk @ b.T
-        d2 *= -2.0
-        d2 += np.einsum("ij,ij->i", a_blk, a_blk)[:, None]
-        d2 += nb
+        d2 = side.sq_dists(a[i0:i1])
         yield i0, i1, d2
         del d2
 
@@ -148,15 +187,18 @@ def _finish(spec: KernelSpec | None, raw: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
-def _self_table(spec: KernelSpec | None, x: np.ndarray) -> np.ndarray:
+def _self_table(spec: KernelSpec | None, x: np.ndarray,
+                row_means: np.ndarray | None = None) -> np.ndarray:
     """Self table of the rows ``x``: squared distances (``spec`` None) or kernel.
 
     One self-product G = x x^T, of the rows shifted by their mean for the
     distance-based tables, is the only N x N array.  Each block of
     :func:`block_rows` rows is then finished in place while it is in cache:
     distances as -2 G_ij + (|x_i|^2 + |x_j|^2), a sum of symmetric terms,
-    then :func:`_finish`.  The table is exactly symmetric; a distance
-    diagonal is set to exactly 0, a gaussian one to exactly 1.
+    then :func:`_finish`, then its part of the diagonal, exactly 0 for
+    distances and exactly 1 for the gaussian kernel.  The table is exactly
+    symmetric.  Given ``row_means``, each finished block's row means are
+    written into it there, so the table is not read again for them.
     """
     dist = spec is None or spec.kind == "gaussian"
     if dist:
@@ -170,8 +212,10 @@ def _self_table(spec: KernelSpec | None, x: np.ndarray) -> np.ndarray:
             blk *= -2.0
             blk += np.add.outer(nx[i0:i0 + step], nx)
         _finish(spec, blk, blk)
-    if dist:
-        np.fill_diagonal(out, 0.0 if spec is None else 1.0)
+        if dist:
+            np.fill_diagonal(blk[:, i0:], 0.0 if spec is None else 1.0)
+        if row_means is not None:
+            blk.mean(axis=1, out=row_means[i0:i0 + step])
     return out
 
 
@@ -242,6 +286,20 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for _ in kernel_blocks(spec, a, b, out):
         pass
     return out
+
+
+def gram_with_means(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The self table ``kernel_matrix(spec, x, x)`` and its N row means.
+
+    The table is symmetric, so its row means are its column means, all that
+    :class:`kpca.KpcaModel` keeps of a training Gram.  Each block's means
+    are taken in the loop that finishes it, while it is in cache.  Fitting
+    and model loading both take them from here, so a loaded model's means
+    are bit-identical to the fitted one's.
+    """
+    x = np.ascontiguousarray(_as_matrix(x, "x"))
+    means = np.empty(x.shape[0])
+    return _self_table(spec, x, means), means
 
 
 def center_gram(k: np.ndarray) -> np.ndarray:

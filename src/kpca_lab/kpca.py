@@ -16,8 +16,11 @@ gamma_i = sum_k y_k a_ki are adjusted to g_i = gamma_i - mean(gamma) + 1/N;
 this accounts for the implicit feature mean and keeps pre-images anchored to
 the data region.
 
-:func:`kpca_preimages` iterates a batch of rows on the gaussian table of
-:func:`kernels.kernel_matrix`; :func:`kpca_preimage` is its one-row form.
+:func:`kpca_preimages` iterates a batch of rows; the training side of the
+gaussian rows is prepared once per batch as :class:`kernels.PreparedRows`,
+the object behind every cross distance table, so each step computes rows
+bit-identical to ``kernel_matrix(spec, z, x)``.  :func:`kpca_preimage` is
+its one-row form.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ import numpy as np
 
 from .eigen import sym_eig
 from .kernels import (
-    KernelSpec, block_rows, kernel_blocks, kernel_matrix, sq_dist_blocks,
+    KernelSpec, PreparedRows, block_rows, gram_with_means, kernel_blocks,
+    sq_dist_blocks,
 )
 
 # Components with raw centered-Gram eigenvalue <= DROP_RTOL * largest are
@@ -109,19 +113,11 @@ class PreimageResult(NamedTuple):
     converged: bool
 
 
-def gram_col_means(k: np.ndarray) -> np.ndarray:
-    """Column means of a symmetric training Gram, as :class:`KpcaModel` keeps them.
-
-    Fitting and model loading both go through this one expression, so a
-    loaded model transforms bit-identically to the fitted one.
-    """
-    return k.mean(axis=1)
-
-
 def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     """Fit kernel PCA with up to ``m`` components.
 
-    Steps: build the kernel matrix, keep its column means, center it in
+    Steps: build the kernel matrix and its column means
+    (:func:`kernels.gram_with_means`, as model loading does), center it in
     place in one pass of row blocks (the operations of
     :func:`kernels.center_gram` in its order, so the result is
     bit-identical, but with no second N x N array), solve for its top ``m``
@@ -144,8 +140,7 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
         raise ValueError(f"need at least 2 samples, got {n}")
     if not 1 <= m <= n:
         raise ValueError(f"components M={m} outside [1, N] = [1, {n}]")
-    k = kernel_matrix(spec, x, x)
-    col_means = gram_col_means(k)
+    k, col_means = gram_with_means(spec, x)
     grand = col_means.mean()
     step = block_rows(n, n)
     for i0 in range(0, n, step):
@@ -229,8 +224,12 @@ def kpca_preimages(
     (``z`` keeps that iterate) and ``"max-iterations"`` otherwise.  Finished
     rows leave the batch, so no row's iterations depend on the others.
     Rows run in chunks of :func:`kernels.block_rows`, which keeps each
-    chunk x N temporary near 2 MB.  Raises :class:`UnsupportedKernelError`
-    for non-gaussian models.
+    chunk x N temporary near 2 MB.  The training rows are prepared once as
+    :class:`kernels.PreparedRows`; each step then computes only what depends
+    on the iterates, rows bit-identical to ``kernel_matrix(spec, z, x)``.
+    Raises :class:`UnsupportedKernelError` for non-gaussian models and
+    ``ValueError`` naming the first feature row, or the start point, with a
+    non-finite entry.
     """
     if model.spec.kind != "gaussian":
         raise UnsupportedKernelError(
@@ -241,6 +240,9 @@ def kpca_preimages(
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 2:
         raise ValueError(f"feature rows must be 2-D, got shape {ys.shape}")
+    bad = ~np.isfinite(ys).all(axis=1)
+    if bad.any():
+        raise ValueError(f"feature row {int(bad.argmax())} has non-finite entries")
     x = model.training
     start = x.mean(axis=0) if cfg.initial is None \
         else np.asarray(cfg.initial, dtype=float).ravel()
@@ -248,6 +250,9 @@ def kpca_preimages(
         raise ValueError(
             f"initial point has {start.shape[0]} features, expected {model.n_features}"
         )
+    if not np.isfinite(start).all():
+        raise ValueError("initial point has non-finite entries")
+    side = PreparedRows(x)
     t = ys.shape[0]
     z = np.tile(start, (t, 1))
     iterations = np.zeros(t, dtype=int)
@@ -258,7 +263,7 @@ def kpca_preimages(
         weights = preimage_weights(model, ys[active])
         for iteration in range(1, cfg.max_iterations + 1):
             z_active = z[active]
-            w = kernel_matrix(model.spec, z_active, x)
+            w = side.gaussian_rows(model.spec, z_active)
             w *= weights
             denom = w.sum(axis=1)
             iterations[active] = iteration

@@ -16,8 +16,8 @@ Layout (all integers and reals little-endian):
                   kpca -> training (N*D), coefficients (N*M), eigenvalues (M)
 
 The kernel-PCA training Gram's column means are not stored; loading
-rebuilds the Gram through the same deterministic kernel code path and takes
-its means with the same expression as fitting, then drops it.
+rebuilds the Gram and its means with :func:`kernels.gram_with_means`, as
+fitting does, then drops the Gram.
 
 Loading rejects, with :class:`ModelFormatError` naming the file, any
 container that does not match this layout exactly: a short header or
@@ -34,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_matrix
-from .kpca import KpcaModel, gram_col_means
+from .kernels import KernelSpec, gram_with_means
+from .kpca import KpcaModel
 from .pca import PcaModel
 
 MAGIC = b"KPML"
@@ -140,6 +140,6 @@ def _parse_model(buf: bytes) -> PcaModel | KpcaModel:
             spec=spec,
             coefficients=coeffs,
             eigenvalues=values,
-            train_col_means=gram_col_means(kernel_matrix(spec, training, training)),
+            train_col_means=gram_with_means(spec, training)[1],
         )
     raise ModelFormatError(f"unknown model kind {kind}")

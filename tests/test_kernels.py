@@ -176,7 +176,8 @@ def test_cross_kernel_matrix_matches_unblocked_form(monkeypatch, spec, rows_per_
     assert len(blocks) == -(-90 // (rows_per_block or 90))
     assert np.array_equal(np.vstack([blk for _, _, blk in blocks]), k)
     if spec.kind == "gaussian":
-        # Pre-images evaluate these rows on every iteration: bit-equal.
+        # The pre-image fixed point computes these rows through the same
+        # kernels.PreparedRows, prepared once per batch: bit-equal.
         assert np.array_equal(k, expected)
     else:
         assert np.abs(k - expected).max() <= 1e-13 * np.abs(expected).max()

@@ -20,6 +20,7 @@ from kpca_lab.kpca import (
     preimage_weights,
     select_sigma,
 )
+from kpca_lab.model_io import load_model, save_model
 from kpca_lab.pca import fit_pca, pca_project
 
 
@@ -344,6 +345,31 @@ def test_preimage_initial_point_wrong_length_rejected():
         kpca_preimage(model, y[0], PreimageConfig(initial=np.zeros(4)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan-row", "inf-row"])
+def test_preimages_reject_non_finite_feature_rows(bad):
+    x = small_spheres(seed=8)
+    model = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), 3)
+    y = kpca_transform(model, x[:6])
+    y[4, 0] = np.nan
+    y[2, 1] = bad
+    # Checked before any iteration, and the first bad row is the one named.
+    with pytest.raises(ValueError, match="feature row 2 has non-finite entries"):
+        kpca_preimages(model, y)
+    with pytest.raises(ValueError, match="feature row 0 has non-finite entries"):
+        kpca_preimage(model, y[2])
+
+
+def test_preimages_reject_non_finite_initial_point():
+    x = small_spheres(seed=8)
+    model = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), 3)
+    y = kpca_transform(model, x[:4])
+    cfg = PreimageConfig(initial=[np.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="initial point has non-finite entries"):
+        kpca_preimages(model, y, cfg)
+    with pytest.raises(ValueError, match="initial point has non-finite entries"):
+        kpca_preimage(model, y[0], cfg)
+
+
 def reference_preimage(model, y, cfg):
     """The per-row fixed point with explicit differences, as (z, iterations, status)."""
     x = model.training
@@ -369,6 +395,38 @@ def mixed_status_batch():
     x = gen_two_spheres(SpheresParams(n=300, seed=1)).features
     model = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), 2)
     return model, kpca_transform(model, x), PreimageConfig(max_iterations=25)
+
+
+def kernel_table_preimages(model, ys, cfg):
+    """The batched fixed point, ``kernel_matrix`` on every step: (z, iterations, status)."""
+    x = model.training
+    t = ys.shape[0]
+    z = np.tile(x.mean(axis=0), (t, 1))
+    iterations = np.zeros(t, dtype=int)
+    status = np.full(t, "max-iterations")
+    chunk = kpca.block_rows(*x.shape)
+    for c0 in range(0, t, chunk):
+        active = np.arange(c0, min(c0 + chunk, t))
+        weights = preimage_weights(model, ys[active])
+        for iteration in range(1, cfg.max_iterations + 1):
+            z_active = z[active]
+            w = kernel_matrix(model.spec, z_active, x)
+            w *= weights
+            denom = w.sum(axis=1)
+            iterations[active] = iteration
+            ok = np.isfinite(denom) & (np.abs(denom) >= 1e-300)
+            if not ok.all():
+                status[active[~ok]] = "diverged"
+                active, weights, z_active, w, denom = (
+                    v[ok] for v in (active, weights, z_active, w, denom))
+            z_next = (w @ x) / denom[:, None]
+            done = np.linalg.norm(z_next - z_active, axis=1) < cfg.tolerance
+            z[active] = z_next
+            status[active[done]] = "converged"
+            active, weights = active[~done], weights[~done]
+            if not active.size:
+                break
+    return z, iterations, status
 
 
 def assert_same_preimages(batch, z, iterations, status):
@@ -398,6 +456,37 @@ def test_kpca_preimages_independent_of_chunk(monkeypatch, chunk):
     # 300 rows: chunks of 7 leave a short last chunk.
     monkeypatch.setattr(kpca, "block_rows", lambda n, d: chunk)
     assert_same_preimages(kpca_preimages(model, y, cfg), *whole)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7], ids=["default", "1", "7"])
+def test_kpca_preimages_bit_equal_kernel_table_form(monkeypatch, chunk):
+    # The prepared training rows give the rows of kernel_matrix(spec, z, x)
+    # bit for bit, so every iterate, count and status is the same.
+    model, y, cfg = mixed_status_batch()
+    if chunk is not None:
+        monkeypatch.setattr(kpca, "block_rows", lambda n, d: chunk)
+    got = kpca_preimages(model, y, cfg)
+    expected = kernel_table_preimages(model, y, cfg)
+    assert set(expected[2]) == {"converged", "diverged", "max-iterations"}
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e)
+
+
+def test_kpca_preimages_prepare_the_training_rows_once(monkeypatch):
+    model, y, cfg = mixed_status_batch()
+    prepared = []
+
+    class Spy(kernels.PreparedRows):
+        def __init__(self, b):
+            prepared.append(b)
+            super().__init__(b)
+
+    monkeypatch.setattr(kpca, "PreparedRows", Spy)
+    monkeypatch.setattr(kpca, "block_rows", lambda n, d: 7)
+    _, iterations, _ = kpca_preimages(model, y, cfg)
+    # 43 chunks of up to 7 rows take hundreds of steps; one preparation.
+    assert iterations.sum() > 300
+    assert len(prepared) == 1 and prepared[0] is model.training
 
 
 def test_preimage_config_validation():
@@ -461,14 +550,24 @@ def test_select_sigma_rejects_non_finite_data(bad):
         select_sigma(x)
 
 
-def test_train_col_means_are_uncentered_gram_means():
+def test_train_col_means_are_uncentered_gram_means(monkeypatch, tmp_path):
+    # The means are taken block by block inside the self-table loop, after
+    # each block's diagonal is set; at every block size they equal the whole
+    # table's, in the fitted model and in a loaded one.
     rng = np.random.default_rng(36)
-    x = rng.standard_normal((7, 2))
-    spec = KernelSpec.gaussian(1.2)
-    model = fit_kpca(x, spec, 3)
-    k = kernel_matrix(spec, x, x)
-    assert np.array_equal(model.train_col_means, k.mean(axis=1))
-    assert np.allclose(model.train_col_means, k.mean(axis=0), rtol=1e-14)
+    x = rng.standard_normal((40, 7)) * 3.0 + 1.0
+    for rows_per_block in (None, 1, 4):
+        if rows_per_block is not None:
+            monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 40)
+        for spec in (KernelSpec.gaussian(1.2), KernelSpec.linear(),
+                     KernelSpec.polynomial(2, 1.0)):
+            model = fit_kpca(x, spec, 3)
+            k = kernel_matrix(spec, x, x)
+            assert np.array_equal(model.train_col_means, k.mean(axis=1))
+            assert np.allclose(model.train_col_means, k.mean(axis=0), rtol=1e-14)
+            save_model(model, tmp_path / "m.kpml")
+            assert np.array_equal(load_model(tmp_path / "m.kpml").train_col_means,
+                                  model.train_col_means)
 
 
 @_KINDS
