@@ -1,24 +1,27 @@
 """Kernel evaluation, kernel-matrix construction, and Gram centering.
 
-Kernel tables are built in row blocks of :func:`block_rows` rows, about
-2 MB each, and every elementwise step (distance finishing, clamp, gaussian
-scale and ``exp``, polynomial offset and power) runs on a block while it is
-still in cache, not in separate passes over the whole table.
+Every kernel table, and the squared-distance table, is built through
+:class:`PreparedRows`, the one place that knows how a table's rows are
+made: it decides once whether they are squared distances (the gaussian
+kernel and :func:`sq_dists`) or dot products (the linear and polynomial
+kernels), prepares the right-hand rows for that, and owns the raw product,
+the finishing and the loop over row blocks.
+
+Tables are built in row blocks of :func:`block_rows` rows, about 2 MB
+each, and every elementwise step (distance finishing, clamp, gaussian scale
+and ``exp``, polynomial offset and power) runs on a block while it is still
+in cache, not in separate passes over the whole table.
 :func:`kernel_blocks` yields the finished rows of a cross table one block
 at a time, so a caller that contracts each block never holds the table.
-
-Every cross distance table is built on :class:`PreparedRows`: the
-right-hand rows are shifted by their mean, copied and their norms taken
-once, and each block of left rows then costs one product and elementwise
-finishing.  The pre-image fixed point keeps one for the training rows
-across its steps, so its rows are those of :func:`kernel_matrix`, bit for
-bit.
+The pre-image fixed point keeps one :class:`PreparedRows` for the training
+rows across its steps, so its rows are those of :func:`kernel_matrix`, bit
+for bit.
 
 Self tables (``kernel_matrix(spec, x, x)``, ``sq_dists(x, x)``) are exactly
-symmetric because each is built from one self-product ``x @ x.T``: BLAS
-computes one triangle of it and numpy mirrors that triangle, and numpy's
-loop without BLAS sums entry (i, j) in the same order as (j, i).  Every
-later step is elementwise or adds symmetric terms, so no triangle is
+symmetric because each is built from one self-product of the prepared rows:
+BLAS computes one triangle of it and numpy mirrors that triangle, and
+numpy's loop without BLAS sums entry (i, j) in the same order as (j, i).
+Every later step is elementwise or adds symmetric terms, so no triangle is
 copied by hand.
 """
 
@@ -33,8 +36,9 @@ import numpy as np
 class KernelSpec:
     """Tagged choice of kernel: linear, polynomial (x.y + c)^d, or gaussian.
 
-    Use the classmethod constructors; they validate the parameters that
-    matter for each kind (degree >= 1, finite offset >= 0, finite width > 0).
+    Every construction validates the parameters that matter for its kind
+    (integral degree >= 1, finite offset >= 0, finite width > 0) and stores
+    the degree as an int.
     """
 
     kind: str
@@ -48,21 +52,26 @@ class KernelSpec:
 
     @classmethod
     def polynomial(cls, degree: int, offset: float = 0.0) -> "KernelSpec":
-        if degree < 1:
-            raise ValueError(f"polynomial degree must be >= 1, got {degree}")
-        if not 0.0 <= offset < np.inf:
-            raise ValueError(f"polynomial offset must be finite and >= 0, got {offset}")
-        return cls(kind="polynomial", degree=int(degree), offset=float(offset))
+        return cls(kind="polynomial", degree=degree, offset=float(offset))
 
     @classmethod
     def gaussian(cls, width: float) -> "KernelSpec":
-        if not 0.0 < width < np.inf:
-            raise ValueError(f"gaussian width must be finite and > 0, got {width}")
         return cls(kind="gaussian", width=float(width))
 
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial", "gaussian"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if self.kind == "polynomial":
+            if not self.degree >= 1:
+                raise ValueError(f"polynomial degree must be >= 1, got {self.degree}")
+            if self.degree % 1:
+                raise ValueError(f"polynomial degree must be integral, got {self.degree}")
+            if not 0.0 <= self.offset < np.inf:
+                raise ValueError(
+                    f"polynomial offset must be finite and >= 0, got {self.offset}")
+        if self.kind == "gaussian" and not 0.0 < self.width < np.inf:
+            raise ValueError(f"gaussian width must be finite and > 0, got {self.width}")
+        object.__setattr__(self, "degree", int(self.degree))
 
 
 def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -112,161 +121,148 @@ def block_rows(n: int, d: int) -> int:
 
 
 class PreparedRows:
-    """The rows ``b`` prepared once as the right-hand side of squared distances.
+    """The rows ``b`` prepared once as the right-hand side of kernel rows.
 
-    Holds the mean of ``b`` (the shift), the shifted rows times -2 and
-    their norms, the part of the distances that does not depend on the left
-    rows.  Both sides are shifted by the mean of ``b``; distances do not
-    change, and the shift removes the cancellation of |a|^2 + |b|^2 - 2ab
-    for data far from the origin.  Scaling by -2 is exact, so the product
-    with the scaled rows rounds as a b^T scaled after it would.
-    :func:`sq_dist_blocks` prepares ``b`` once per call, and the pre-image
-    fixed point prepares the training rows once per batch; each then calls
-    :meth:`sq_dists` per block.
+    ``spec`` None stands for squared distances.  ``dist`` records the one
+    decision of this module: whether the raw rows are squared distances
+    (``spec`` None or gaussian) or dot products (linear, polynomial).  For
+    distances ``rows`` are ``b`` shifted by its mean ``shift``, and
+    ``norms`` their squared norms; the left rows are shifted the same way,
+    which leaves distances unchanged and removes the cancellation of
+    |a|^2 + |b|^2 - 2ab for data far from the origin.  For dot products
+    ``rows`` is ``b`` itself.
+
+    :func:`kernel_blocks`, and through it every cross table, prepares ``b``
+    once per call; :func:`_self_table` takes the self-product of ``rows``;
+    the pre-image fixed point prepares the training rows once per batch.
     """
 
-    def __init__(self, b: np.ndarray):
-        self.shift = b.mean(axis=0)
-        rows = b - self.shift
-        self.norms = np.einsum("ij,ij->i", rows, rows)
-        rows *= -2.0
-        self.rows = rows
+    def __init__(self, spec: KernelSpec | None, b: np.ndarray):
+        self.spec = spec
+        self.dist = spec is None or spec.kind == "gaussian"
+        if self.dist:
+            self.shift = b.mean(axis=0)
+            b = b - self.shift
+            self.norms = np.einsum("ij,ij->i", b, b)
+        self.rows = b
 
-    def sq_dists(self, a: np.ndarray) -> np.ndarray:
-        """Unclamped squared distances of the rows ``a`` to ``b``, a fresh array.
+    def raw(self, a: np.ndarray) -> np.ndarray:
+        """Raw rows of ``a`` against ``b``, a fresh array.
 
-        -2 a b^T + |a|^2 + |b|^2, with ``a`` shifted as ``b`` was.
+        Unclamped squared distances -2 a b^T + |a|^2 + |b|^2, with ``a``
+        shifted as ``b`` was, or the dot products a b^T.  The -2 scales a
+        fresh shifted copy of ``a``; scaling by a power of two is exact.
         """
+        if not self.dist:
+            return a @ self.rows.T
         a = a - self.shift
+        norms = np.einsum("ij,ij->i", a, a)
+        a *= -2.0
         d2 = a @ self.rows.T
-        d2 += np.einsum("ij,ij->i", a, a)[:, None]
+        d2 += norms[:, None]
         d2 += self.norms
         return d2
 
-    def gaussian_rows(self, spec: KernelSpec, a: np.ndarray) -> np.ndarray:
-        """Gaussian kernel rows of ``a`` against ``b``: :meth:`sq_dists`, finished."""
-        d2 = self.sq_dists(a)
-        return _finish(spec, d2, d2)
+    def finish(self, raw: np.ndarray) -> np.ndarray:
+        """Finish raw rows into kernel rows in place, and return them.
 
+        Squared distances are clamped at 0 and, for the gaussian kernel,
+        scaled by -1/(2 sigma^2) and exponentiated; the polynomial kernel
+        adds its offset to the dot products and raises them to its degree.
+        """
+        if self.dist:
+            np.maximum(raw, 0.0, out=raw)
+            if self.spec is not None:
+                raw *= -1.0 / (2.0 * self.spec.width**2)
+                np.exp(raw, out=raw)
+        elif self.spec.kind == "polynomial":
+            raw += self.spec.offset
+            raw **= self.spec.degree
+        return raw
 
-def sq_dist_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield ``(i0, i1, d2)``: unclamped squared distances of a[i0:i1] to b.
+    def kernel_rows(self, a: np.ndarray) -> np.ndarray:
+        """Finished rows of ``a`` against ``b``, those of the cross table."""
+        return self.finish(self.raw(a))
 
-    ``b`` is prepared once as :class:`PreparedRows`, and each block of
-    :func:`block_rows` rows of ``a`` goes through its
-    :meth:`~PreparedRows.sq_dists`.  Each ``d2`` is a fresh block temporary;
-    a caller that drops it before asking for the next block keeps only one
-    alive at a time.
-    """
-    side = PreparedRows(b)
-    step = block_rows(*b.shape)
-    for i0 in range(0, a.shape[0], step):
-        i1 = min(i0 + step, a.shape[0])
-        d2 = side.sq_dists(a[i0:i1])
-        yield i0, i1, d2
-        del d2
+    def blocks(self, a: np.ndarray):
+        """Yield ``(i0, i1, raw)``: the raw rows of a[i0:i1], a fresh block each.
 
-
-def _finish(spec: KernelSpec | None, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Finish raw rows into kernel rows in ``out``, which may be ``raw`` itself.
-
-    For ``spec`` None or gaussian the raw rows are squared distances: they
-    are clamped at 0 and, for the gaussian kernel, scaled by -1/(2 sigma^2)
-    and exponentiated.  For linear and polynomial kernels they are dot
-    products already in ``out``; the polynomial kernel adds its offset and
-    raises to its degree.
-    """
-    if spec is None or spec.kind == "gaussian":
-        np.maximum(raw, 0.0, out=out)
-        if spec is not None:
-            out *= -1.0 / (2.0 * spec.width**2)
-            np.exp(out, out=out)
-    elif spec.kind == "polynomial":
-        out += spec.offset
-        out **= spec.degree
-    return out
+        Blocks hold :func:`block_rows` rows; the generator keeps no block
+        while it computes the next.
+        """
+        step = block_rows(*self.rows.shape)
+        for i0 in range(0, a.shape[0], step):
+            i1 = min(i0 + step, a.shape[0])
+            yield i0, i1, self.raw(a[i0:i1])
 
 
 def _self_table(spec: KernelSpec | None, x: np.ndarray,
                 row_means: np.ndarray | None = None) -> np.ndarray:
     """Self table of the rows ``x``: squared distances (``spec`` None) or kernel.
 
-    One self-product G = x x^T, of the rows shifted by their mean for the
-    distance-based tables, is the only N x N array.  Each block of
-    :func:`block_rows` rows is then finished in place while it is in cache:
-    distances as -2 G_ij + (|x_i|^2 + |x_j|^2), a sum of symmetric terms,
-    then :func:`_finish`, then its part of the diagonal, exactly 0 for
-    distances and exactly 1 for the gaussian kernel.  The table is exactly
+    The self-product G of the rows of ``PreparedRows(spec, x)`` is the only
+    N x N array.  Each block of :func:`block_rows` rows is then finished in
+    place while it is in cache: distances as -2 G_ij + (|x_i|^2 + |x_j|^2),
+    a sum of symmetric terms, with their part of the diagonal set to 0,
+    then :meth:`PreparedRows.finish`, which keeps a zero distance exactly 0
+    and makes it exactly 1 for the gaussian kernel.  The table is exactly
     symmetric.  Given ``row_means``, each finished block's row means are
     written into it there, so the table is not read again for them.
     """
-    dist = spec is None or spec.kind == "gaussian"
-    if dist:
-        x = x - x.mean(axis=0)
-        nx = np.einsum("ij,ij->i", x, x)
-    out = x @ x.T
+    side = PreparedRows(spec, x)
+    out = side.rows @ side.rows.T
     step = block_rows(*x.shape)
     for i0 in range(0, x.shape[0], step):
         blk = out[i0:i0 + step]
-        if dist:
+        if side.dist:
             blk *= -2.0
-            blk += np.add.outer(nx[i0:i0 + step], nx)
-        _finish(spec, blk, blk)
-        if dist:
-            np.fill_diagonal(blk[:, i0:], 0.0 if spec is None else 1.0)
+            blk += np.add.outer(side.norms[i0:i0 + step], side.norms)
+            np.fill_diagonal(blk[:, i0:], 0.0)
+        side.finish(blk)
         if row_means is not None:
             blk.mean(axis=1, out=row_means[i0:i0 + step])
+    return out
+
+
+def kernel_blocks(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
+    """Yield ``(i0, i1, k)``: finished kernel rows k = kernel(a[i0:i1], b).
+
+    ``b`` is prepared once as :class:`PreparedRows`, and each block of its
+    :meth:`~PreparedRows.blocks` is finished in place while it is in cache.
+    Each ``k`` is a fresh block temporary; the generator drops its block
+    before computing the next, so a caller that does the same keeps only
+    one block alive.  ``a`` and ``b`` are treated as different rows even
+    when they are the same object; :func:`kernel_matrix` builds the exactly
+    symmetric self table.
+    """
+    a, b = _operands(a, b)
+    side = PreparedRows(spec, b)
+    for i0, i1, raw in side.blocks(a):
+        yield i0, i1, side.finish(raw)
+        del raw
+
+
+def _table(spec: KernelSpec | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The one self/cross dispatch behind kernel_matrix and sq_dists.
+    a, b = _operands(a, b)
+    if a is b:
+        return _self_table(spec, a)
+    out = np.empty((a.shape[0], b.shape[0]))
+    for i0, i1, k in kernel_blocks(spec, a, b):
+        out[i0:i1] = k
+        del k
     return out
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances: entry [i, j] = |a_i - b_j|^2.
 
-    Both operands are shifted by the mean of ``b`` (see
-    :func:`sq_dist_blocks`), and the result is clamped at 0.  Besides it,
-    only a shifted copy of ``b`` and block temporaries of about
-    ``_BLOCK_ENTRIES`` entries are allocated.  The self case (``a is b``)
-    is finished block by block from the one self-product, as the gaussian
-    self table is, so it is exactly symmetric with a zero diagonal.
+    The ``spec`` None table of :class:`PreparedRows`: both operands are
+    shifted by the mean of ``b``, and the result is clamped at 0.  It is
+    built as :func:`kernel_matrix` builds a kernel table, so the self case
+    (``a is b``) is exactly symmetric with a zero diagonal.
     """
-    a, b = _operands(a, b)
-    if a is b:
-        return _self_table(None, a)
-    out = np.empty((a.shape[0], b.shape[0]))
-    for i0, i1, d2 in sq_dist_blocks(a, b):
-        np.maximum(d2, 0.0, out=out[i0:i1])
-        del d2
-    return out
-
-
-def kernel_blocks(spec: KernelSpec, a: np.ndarray, b: np.ndarray,
-                  out: np.ndarray | None = None):
-    """Yield ``(i0, i1, k)``: finished kernel rows k = kernel(a[i0:i1], b).
-
-    Rows come in blocks of :func:`block_rows`, and every elementwise step
-    runs on a block while it is in cache: gaussian rows are the squared
-    distances of :func:`sq_dist_blocks`, clamped, scaled and exponentiated
-    in place; linear and polynomial rows are a[i0:i1] b^T with the
-    polynomial offset and power.  Each ``k`` is a fresh block temporary, or
-    the slice ``out[i0:i1]`` of a given len(a) x len(b) table, written once.
-    The generator drops its block before computing the next, so a caller
-    that does the same keeps only one block alive.
-    ``a`` and ``b`` are treated as different rows even when they are the
-    same object; :func:`kernel_matrix` builds the exactly symmetric self
-    table.
-    """
-    a, b = _operands(a, b)
-    if spec.kind == "gaussian":
-        for i0, i1, d2 in sq_dist_blocks(a, b):
-            yield i0, i1, _finish(spec, d2, d2 if out is None else out[i0:i1])
-            del d2
-        return
-    step = block_rows(*b.shape)
-    for i0 in range(0, a.shape[0], step):
-        i1 = min(i0 + step, a.shape[0])
-        k = np.matmul(a[i0:i1], b.T, out=None if out is None else out[i0:i1])
-        yield i0, i1, _finish(spec, k, k)
-        del k
+    return _table(None, a, b)
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -276,16 +272,10 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     blocks while they are in cache.  When ``a`` and ``b`` are the same
     object the result is exactly symmetric: it is finished from numpy's
     self-product (see :func:`_self_table`), and a gaussian diagonal is
-    exactly 1.  Otherwise each block of :func:`kernel_blocks` is written
-    straight into its slice of the table.
+    exactly 1.  Otherwise each finished block of :func:`kernel_blocks` is
+    copied into its slice of the table.
     """
-    a, b = _operands(a, b)
-    if a is b:
-        return _self_table(spec, a)
-    out = np.empty((a.shape[0], b.shape[0]))
-    for _ in kernel_blocks(spec, a, b, out):
-        pass
-    return out
+    return _table(spec, a, b)
 
 
 def gram_with_means(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,11 +16,10 @@ gamma_i = sum_k y_k a_ki are adjusted to g_i = gamma_i - mean(gamma) + 1/N;
 this accounts for the implicit feature mean and keeps pre-images anchored to
 the data region.
 
-:func:`kpca_preimages` iterates a batch of rows; the training side of the
-gaussian rows is prepared once per batch as :class:`kernels.PreparedRows`,
-the object behind every cross distance table, so each step computes rows
-bit-identical to ``kernel_matrix(spec, z, x)``.  :func:`kpca_preimage` is
-its one-row form.
+:func:`kpca_preimages` iterates a batch of rows; the training rows are
+prepared once per batch as ``kernels.PreparedRows(spec, x)``, the object
+behind every kernel table, so each step computes rows bit-identical to
+``kernel_matrix(spec, z, x)``.  :func:`kpca_preimage` is its one-row form.
 """
 
 from __future__ import annotations
@@ -31,10 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import sym_eig
-from .kernels import (
-    KernelSpec, PreparedRows, block_rows, gram_with_means, kernel_blocks,
-    sq_dist_blocks,
-)
+from .kernels import KernelSpec, PreparedRows, block_rows, gram_with_means, kernel_blocks
 
 # Components with raw centered-Gram eigenvalue <= DROP_RTOL * largest are
 # treated as numerically zero and dropped.
@@ -225,8 +221,10 @@ def kpca_preimages(
     rows leave the batch, so no row's iterations depend on the others.
     Rows run in chunks of :func:`kernels.block_rows`, which keeps each
     chunk x N temporary near 2 MB.  The training rows are prepared once as
-    :class:`kernels.PreparedRows`; each step then computes only what depends
-    on the iterates, rows bit-identical to ``kernel_matrix(spec, z, x)``.
+    ``kernels.PreparedRows(model.spec, x)``; each step's
+    :meth:`~kernels.PreparedRows.kernel_rows` then computes only what
+    depends on the iterates, rows bit-identical to
+    ``kernel_matrix(spec, z, x)``.
     Raises :class:`UnsupportedKernelError` for non-gaussian models and
     ``ValueError`` naming the first feature row, or the start point, with a
     non-finite entry.
@@ -252,7 +250,7 @@ def kpca_preimages(
         )
     if not np.isfinite(start).all():
         raise ValueError("initial point has non-finite entries")
-    side = PreparedRows(x)
+    side = PreparedRows(model.spec, x)
     t = ys.shape[0]
     z = np.tile(start, (t, 1))
     iterations = np.zeros(t, dtype=int)
@@ -263,7 +261,7 @@ def kpca_preimages(
         weights = preimage_weights(model, ys[active])
         for iteration in range(1, cfg.max_iterations + 1):
             z_active = z[active]
-            w = side.gaussian_rows(model.spec, z_active)
+            w = side.kernel_rows(z_active)
             w *= weights
             denom = w.sum(axis=1)
             iterations[active] = iteration
@@ -307,9 +305,11 @@ def select_sigma(x: np.ndarray) -> float:
 
     The nearest neighbor of row i is the closest row with a different index,
     so duplicate rows contribute zero distance.  Neighbors are found on the
-    blocked squared distances of :func:`kernels.sq_dist_blocks`; each
-    distance is then recomputed from the explicit difference x_i - x_j, so
-    it carries no cancellation error and a duplicate's is exactly 0.
+    raw squared-distance blocks of ``kernels.PreparedRows(None, x)``,
+    unclamped because clamping would turn near-duplicate rows into index
+    ties; each distance is then recomputed from the explicit difference
+    x_i - x_j, so it carries no cancellation error and a duplicate's is
+    exactly 0.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -320,7 +320,7 @@ def select_sigma(x: np.ndarray) -> float:
     if not np.isfinite(x).all():
         raise ValueError("data matrix contains non-finite entries")
     nearest = np.empty(n, dtype=np.intp)
-    for i0, i1, d2 in sq_dist_blocks(x, x):
+    for i0, i1, d2 in PreparedRows(None, x).blocks(x):
         rows = np.arange(i0, i1)
         d2[rows - i0, rows] = np.inf
         nearest[i0:i1] = d2.argmin(axis=1)

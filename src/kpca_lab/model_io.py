@@ -21,9 +21,9 @@ fitting does, then drops the Gram.
 
 Loading rejects, with :class:`ModelFormatError` naming the file, any
 container that does not match this layout exactly: a short header or
-payload, bytes after the payload, a kpca header with N < 2 or M > N (a fit
-never writes one), and non-finite payload entries, which would make every
-projection NaN.
+payload, bytes after the payload, a pca header with M = 0 or M > D or a
+kpca header with N < 2 or M > N (no fit writes one), and non-finite payload
+entries, which would make every projection NaN.
 """
 
 from __future__ import annotations
@@ -111,6 +111,8 @@ def _parse_model(buf: bytes) -> PcaModel | KpcaModel:
     pos = _HEADER.size
     if kind == 1:
         d, m = d0, d1
+        if not 1 <= m <= d:
+            raise ModelFormatError(f"pca model needs 1 <= M <= D, header has M={m}, D={d}")
         mean, pos = _take(buf, pos, (d,), "mean")
         basis, pos = _take(buf, pos, (d, m), "basis")
         values, pos = _take(buf, pos, (m,), "eigenvalue")

@@ -33,6 +33,22 @@ def test_spec_constructors_validate():
         KernelSpec.gaussian(-2.0)
     with pytest.raises(ValueError, match="width must be finite"):
         KernelSpec.gaussian(np.inf)
+    with pytest.raises(ValueError, match="degree must be integral"):
+        KernelSpec.polynomial(2.9)
+    # Direct construction is validated as the constructors are.
+    with pytest.raises(ValueError, match="width must be finite and > 0"):
+        KernelSpec("gaussian", width=0.0)
+    with pytest.raises(ValueError, match="width must be finite and > 0"):
+        KernelSpec("gaussian", width=-3.0)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        KernelSpec("polynomial", degree=0, offset=-1.0)
+    with pytest.raises(ValueError, match="offset must be finite and >= 0"):
+        KernelSpec("polynomial", degree=2, offset=-1.0)
+    for degree in (2.5, np.inf):
+        with pytest.raises(ValueError, match="degree must be integral"):
+            KernelSpec("polynomial", degree=degree)
+    spec = KernelSpec.polynomial(3.0, 1)
+    assert spec == KernelSpec.polynomial(3, 1.0) and type(spec.degree) is int
 
 
 def test_gaussian_same_point_is_one():
@@ -176,11 +192,104 @@ def test_cross_kernel_matrix_matches_unblocked_form(monkeypatch, spec, rows_per_
     assert len(blocks) == -(-90 // (rows_per_block or 90))
     assert np.array_equal(np.vstack([blk for _, _, blk in blocks]), k)
     if spec.kind == "gaussian":
-        # The pre-image fixed point computes these rows through the same
-        # kernels.PreparedRows, prepared once per batch: bit-equal.
+        # The pre-image fixed point computes these rows with the same
+        # kernels.PreparedRows(spec, b).kernel_rows, prepared once per
+        # batch: bit-equal.
         assert np.array_equal(k, expected)
     else:
         assert np.abs(k - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def reference_finish(spec, t):
+    # Finishing of raw rows: clamped, scaled and exponentiated distances
+    # (spec None or gaussian), or dot products with the polynomial offset
+    # and power.
+    if spec is None or spec.kind == "gaussian":
+        np.maximum(t, 0.0, out=t)
+        if spec is not None:
+            t *= -1.0 / (2.0 * spec.width**2)
+            np.exp(t, out=t)
+    elif spec.kind == "polynomial":
+        t += spec.offset
+        t **= spec.degree
+    return t
+
+
+def reference_self_table(spec, x, step):
+    # One self-product G of the (for distances, mean-shifted) rows; per
+    # block of rows: distances as -2 G + outer(|x_i|^2, |x_j|^2), finish,
+    # then the diagonal set to 0 (distances) or 1 (gaussian).
+    dist = spec is None or spec.kind == "gaussian"
+    if dist:
+        x = x - x.mean(axis=0)
+        nx = np.einsum("ij,ij->i", x, x)
+    out = x @ x.T
+    for i0 in range(0, x.shape[0], step):
+        blk = out[i0:i0 + step]
+        if dist:
+            blk *= -2.0
+            blk += np.add.outer(nx[i0:i0 + step], nx)
+        reference_finish(spec, blk)
+        if dist:
+            np.fill_diagonal(blk[:, i0:], 0.0 if spec is None else 1.0)
+    return out
+
+
+def reference_cross_table(spec, a, b, step):
+    # Per block of rows of a: distances as (a - m) (-2 (b - m))^T
+    # + |a - m|^2 + |b - m|^2 with m the mean of b, or the dot products
+    # a b^T; then finish.
+    dist = spec is None or spec.kind == "gaussian"
+    if dist:
+        shift = b.mean(axis=0)
+        rows = b - shift
+        nb = np.einsum("ij,ij->i", rows, rows)
+        rows *= -2.0
+    out = np.empty((a.shape[0], b.shape[0]))
+    for i0 in range(0, a.shape[0], step):
+        if dist:
+            ai = a[i0:i0 + step] - shift
+            blk = ai @ rows.T
+            blk += np.einsum("ij,ij->i", ai, ai)[:, None]
+            blk += nb
+        else:
+            blk = a[i0:i0 + step] @ b.T
+        out[i0:i0 + step] = reference_finish(spec, blk)
+    return out
+
+
+_ALL_TABLES = pytest.mark.parametrize(
+    "spec", [None, KernelSpec.linear(), KernelSpec.polynomial(3, 1.0),
+             KernelSpec.gaussian(2.5)],
+    ids=["sq_dists", "linear", "polynomial", "gaussian"])
+
+
+@_BLOCKS
+@_ALL_TABLES
+@pytest.mark.parametrize("offset", [0.0, 1e3], ids=["origin", "far"])
+def test_tables_bit_equal_reference_formulas(monkeypatch, spec, offset, rows_per_block):
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((90, 7)) * 3.0 + offset
+    b = rng.standard_normal((300, 7)) * 3.0 + offset
+    if rows_per_block is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 300)
+    step = kernels.block_rows(*b.shape)
+    if spec is None:
+        cross, self_table = sq_dists(a, b), sq_dists(b, b)
+    else:
+        cross, self_table = kernel_matrix(spec, a, b), kernel_matrix(spec, b, b)
+    assert np.array_equal(cross, reference_cross_table(spec, a, b, step))
+    assert np.array_equal(self_table, reference_self_table(spec, b, step))
+
+
+@pytest.mark.parametrize("spec", [KernelSpec.linear(), KernelSpec.polynomial(3, 1.0),
+                                  KernelSpec.gaussian(2.5)], ids=lambda s: s.kind)
+def test_prepared_kernel_rows_are_the_cross_table(spec):
+    rng = np.random.default_rng(24)
+    a = rng.standard_normal((90, 7)) * 3.0 + 1.0
+    b = rng.standard_normal((300, 7)) * 3.0 + 1.0
+    assert np.array_equal(kernels.PreparedRows(spec, b).kernel_rows(a),
+                          kernel_matrix(spec, a, b))
 
 
 def test_kernel_matrix_dimension_mismatch():

@@ -477,9 +477,9 @@ def test_kpca_preimages_prepare_the_training_rows_once(monkeypatch):
     prepared = []
 
     class Spy(kernels.PreparedRows):
-        def __init__(self, b):
+        def __init__(self, spec, b):
             prepared.append(b)
-            super().__init__(b)
+            super().__init__(spec, b)
 
     monkeypatch.setattr(kpca, "PreparedRows", Spy)
     monkeypatch.setattr(kpca, "block_rows", lambda n, d: 7)

@@ -128,6 +128,19 @@ def test_rejects_more_components_than_rows(tmp_path):
     assert str(info.value) == f"{path}: kpca model has M=3 components but only N=2 rows"
 
 
+@pytest.mark.parametrize("d, m", [(2, 3), (0, 0), (3, 0)])
+def test_rejects_pca_header_outside_one_to_d_components(tmp_path, d, m):
+    # fit_pca and fit_pca_dual keep 1 <= M <= min(N, D); D=2, M=3 used to
+    # load a 2 x 3 "basis", and D = M = 0 an empty model.
+    header = _HEADER.pack(MAGIC, VERSION, 1, 0, 0, 0.0, 0.0, d, m, 0)
+    path = tmp_path / "m.kpml"
+    path.write_bytes(header + np.ones(d + d * m + m, dtype="<f8").tobytes())
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == \
+        f"{path}: pca model needs 1 <= M <= D, header has M={m}, D={d}"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("block", ["training", "coefficient", "eigenvalue"])
