@@ -24,11 +24,11 @@ from kpca_lab.pca import fit_pca, pca_project  # noqa: E402
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=1000,
+    parser.add_argument("--n", type=int, default=SpheresParams.n,
                         help="total point count, half per sphere")
-    parser.add_argument("--r1", type=float, default=40.0)
-    parser.add_argument("--r2", type=float, default=100.0)
-    parser.add_argument("--noise", type=float, default=1.0)
+    parser.add_argument("--r1", type=float, default=SpheresParams.r1)
+    parser.add_argument("--r2", type=float, default=SpheresParams.r2)
+    parser.add_argument("--noise", type=float, default=SpheresParams.noise)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--components", type=int, default=2)
     parser.add_argument("--sigma", type=float, default=None,

@@ -38,18 +38,12 @@ def fit_linear(features: np.ndarray, labels: np.ndarray) -> LinearClassifier:
 
 
 def predict(clf: LinearClassifier, x: np.ndarray) -> int:
-    """Label for one feature vector; a score of exactly zero maps to +1."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != clf.weights.shape[0] - 1:
-        raise ValueError(
-            f"expected {clf.weights.shape[0] - 1} features, got {x.shape[0]}"
-        )
-    score = x @ clf.weights[:-1] + clf.weights[-1]
-    return 1 if score >= 0.0 else -1
+    """Label for one feature vector: the one-row :func:`predict_many`."""
+    return int(predict_many(clf, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def predict_many(clf: LinearClassifier, x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`predict` over the rows of a feature matrix."""
+    """Labels for the rows of a feature matrix; a score of exactly zero maps to +1."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != clf.weights.shape[0] - 1:
         raise ValueError(

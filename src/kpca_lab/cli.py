@@ -47,6 +47,7 @@ from .shapes import (
 )
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_SIZE, _MARGIN = 400.0, 24.0  # scatter.svg canvas side and border, in pixels
 
 
 def _write_manifest(out_dir: Path, subcommand: str, parameters: dict,
@@ -71,8 +72,7 @@ def _prepare_out(arg: str) -> Path:
     return out
 
 
-def scatter_svg(points: np.ndarray, labels: np.ndarray | None = None,
-                size: float = 400.0, margin: float = 24.0) -> str:
+def scatter_svg(points: np.ndarray, labels: np.ndarray | None = None) -> str:
     """Deterministic 2-D scatter plot of the first two feature columns."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] < 2:
@@ -86,16 +86,16 @@ def scatter_svg(points: np.ndarray, labels: np.ndarray | None = None,
     lo = xy.min(axis=0)
     hi = xy.max(axis=0)
     span = np.where(hi - lo > 0.0, hi - lo, 1.0)
-    scale = (size - 2.0 * margin) / span
+    scale = (_SIZE - 2.0 * _MARGIN) / span
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
-        f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
-        f'  <rect width="{size:.0f}" height="{size:.0f}" fill="white" />',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '
+        f'height="{_SIZE:.0f}" viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">',
+        f'  <rect width="{_SIZE:.0f}" height="{_SIZE:.0f}" fill="white" />',
     ]
     for (x, y), color in zip(xy, colors):
-        cx = margin + (x - lo[0]) * scale[0]
-        cy = size - margin - (y - lo[1]) * scale[1]  # y grows upward in plots
+        cx = _MARGIN + (x - lo[0]) * scale[0]
+        cy = _SIZE - _MARGIN - (y - lo[1]) * scale[1]  # y grows upward in plots
         parts.append(
             f'  <circle cx="{cx:.2f}" cy="{cy:.2f}" r="2.5" fill="{color}" '
             f'fill-opacity="0.7" />'
@@ -308,55 +308,57 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("gen-spheres",
+    # Flags shared by several subcommands, each defined once.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output directory")
+    sigma = argparse.ArgumentParser(add_help=False)
+    sigma.add_argument("--sigma", default="auto",
+                       help="gaussian width, or 'auto' for 5x mean NN distance")
+    labels_col = argparse.ArgumentParser(add_help=False)
+    labels_col.add_argument("--labels-col", type=int,
+                            help="take labels from this column of the feature CSVs")
+    fixed_point = argparse.ArgumentParser(add_help=False)
+    fixed_point.add_argument("--max-iter", type=int, default=PreimageConfig.max_iterations)
+    fixed_point.add_argument("--tol", type=float, default=PreimageConfig.tolerance)
+
+    p = sub.add_parser("gen-spheres", parents=[out],
                        help="generate the two-concentric-spheres dataset")
-    p.add_argument("--n", type=int, default=1000, help="total points (even)")
-    p.add_argument("--r1", type=float, default=40.0, help="class +1 radius")
-    p.add_argument("--r2", type=float, default=100.0, help="class -1 radius")
-    p.add_argument("--noise", type=float, default=1.0,
+    p.add_argument("--n", type=int, default=SpheresParams.n, help="total points (even)")
+    p.add_argument("--r1", type=float, default=SpheresParams.r1, help="class +1 radius")
+    p.add_argument("--r2", type=float, default=SpheresParams.r2, help="class -1 radius")
+    p.add_argument("--noise", type=float, default=SpheresParams.noise,
                    help="coordinate noise standard deviation")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_spheres)
 
-    p = sub.add_parser("embed", help="fit PCA or kernel PCA and transform data")
+    p = sub.add_parser("embed", parents=[sigma, labels_col, out],
+                       help="fit PCA or kernel PCA and transform data")
     p.add_argument("--method", choices=("pca", "kpca"), required=True)
     p.add_argument("--kernel", choices=("linear", "poly", "gaussian"),
                    default="gaussian")
     p.add_argument("--degree", type=int, default=5, help="poly kernel degree")
     p.add_argument("--offset", type=float, default=0.0, help="poly kernel offset")
-    p.add_argument("--sigma", default="auto",
-                   help="gaussian width, or 'auto' for 5x mean NN distance")
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--input", required=True, help="features CSV")
     p.add_argument("--labels", help="labels CSV (colors the scatter plot)")
-    p.add_argument("--labels-col", type=int,
-                   help="take labels from this column of the input CSV")
     p.add_argument("--save-model", help="also write the fitted model container")
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("classify",
+    p = sub.add_parser("classify", parents=[labels_col, out],
                        help="least-squares linear classifier error rates")
     p.add_argument("--train-features", required=True)
     p.add_argument("--train-labels")
     p.add_argument("--test-features")
     p.add_argument("--test-labels")
-    p.add_argument("--labels-col", type=int,
-                   help="take labels from this column of the feature CSVs")
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("preimage",
+    p = sub.add_parser("preimage", parents=[fixed_point, out],
                        help="gaussian pre-images for rows of a feature CSV")
     p.add_argument("--model", required=True, help="kernel-PCA model container")
     p.add_argument("--input", required=True, help="feature rows CSV")
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_preimage)
 
-    p = sub.add_parser("asm-sweep",
+    p = sub.add_parser("asm-sweep", parents=[sigma, fixed_point, out],
                        help="sweep one shape-model feature and render faces")
     p.add_argument("--pts-dir", required=True, help="directory of .pts files")
     p.add_argument("--method", choices=("pca", "kpca"), required=True)
@@ -365,12 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=500.0,
                    help="kpca sweep half-range in training std deviations")
     p.add_argument("--m", type=int, default=10, help="retained components")
-    p.add_argument("--sigma", default="auto",
-                   help="gaussian width, or 'auto' for 5x mean NN distance")
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--role-map", help="landmark role map file")
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_asm_sweep)
 
     return parser

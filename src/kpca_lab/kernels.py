@@ -32,13 +32,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# The KernelSpec fields each kind does not read; construction resets them to
+# their defaults.
+_UNREAD = {"linear": ("degree", "offset", "width"), "polynomial": ("width",),
+           "gaussian": ("degree", "offset")}
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Tagged choice of kernel: linear, polynomial (x.y + c)^d, or gaussian.
 
     Every construction validates the parameters that matter for its kind
-    (integral degree >= 1, finite offset >= 0, finite width > 0) and stores
-    the degree as an int.
+    (integral degree >= 1, finite offset >= 0, finite width > 0), stores
+    the degree as an int, and resets the fields its kind does not read to
+    their defaults, so a spec equals its classmethod form and every field
+    fits the model container's header.
     """
 
     kind: str
@@ -59,7 +67,7 @@ class KernelSpec:
         return cls(kind="gaussian", width=float(width))
 
     def __post_init__(self):
-        if self.kind not in ("linear", "polynomial", "gaussian"):
+        if self.kind not in _UNREAD:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "polynomial":
             if not self.degree >= 1:
@@ -71,6 +79,8 @@ class KernelSpec:
                     f"polynomial offset must be finite and >= 0, got {self.offset}")
         if self.kind == "gaussian" and not 0.0 < self.width < np.inf:
             raise ValueError(f"gaussian width must be finite and > 0, got {self.width}")
+        for name in _UNREAD[self.kind]:
+            object.__setattr__(self, name, getattr(KernelSpec, name))
         object.__setattr__(self, "degree", int(self.degree))
 
 

@@ -6,7 +6,8 @@ norm: lambda * N * (a.a) = 1.  Components whose raw Gram eigenvalue is
 numerically zero are dropped, so the number of retained components can be
 smaller than requested.
 
-Pre-images exist only for the gaussian kernel, via the fixed-point iteration
+Pre-images exist only for the gaussian kernel, via the fixed-point iteration,
+started at the training mean,
 
     z <- sum_i w_i(z) x_i / sum_i w_i(z),
     w_i(z) = g_i * exp(-|z - x_i|^2 / (2 sigma^2)).
@@ -86,19 +87,21 @@ class KpcaModel:
 
 @dataclass(frozen=True)
 class PreimageConfig:
-    """Controls for the fixed-point iteration.
+    """Controls for the fixed-point iteration, which starts at the training mean.
 
-    ``initial`` defaults to the training mean, which is a safe starting
-    point in practice.  ``tolerance`` is on the Euclidean step norm.
+    ``max_iterations`` is an integral step budget per row, stored as an
+    int; ``tolerance`` is on the Euclidean step norm.
     """
 
     max_iterations: int = 1000
     tolerance: float = 1e-9
-    initial: np.ndarray | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.max_iterations % 1:
+            raise ValueError(f"max_iterations must be integral, got {self.max_iterations}")
+        object.__setattr__(self, "max_iterations", int(self.max_iterations))
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
@@ -215,10 +218,11 @@ def kpca_preimages(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pre-images of the T x M feature rows ``ys``: T x D ``z``, T iterations, T statuses.
 
-    A row is ``"converged"`` once its step norm drops below
-    ``cfg.tolerance``, ``"diverged"`` when its gaussian weight mass is lost
-    (``z`` keeps that iterate) and ``"max-iterations"`` otherwise.  Finished
-    rows leave the batch, so no row's iterations depend on the others.
+    Every row starts at the training mean.  A row is ``"converged"`` once
+    its step norm drops below ``cfg.tolerance``, ``"diverged"`` when its
+    gaussian weight mass is lost (``z`` keeps that iterate) and
+    ``"max-iterations"`` otherwise.  Finished rows leave the batch, so no
+    row's iterations depend on the others.
     Rows run in chunks of :func:`kernels.block_rows`, which keeps each
     chunk x N temporary near 2 MB.  The training rows are prepared once as
     ``kernels.PreparedRows(model.spec, x)``; each step's
@@ -226,8 +230,7 @@ def kpca_preimages(
     depends on the iterates, rows bit-identical to
     ``kernel_matrix(spec, z, x)``.
     Raises :class:`UnsupportedKernelError` for non-gaussian models and
-    ``ValueError`` naming the first feature row, or the start point, with a
-    non-finite entry.
+    ``ValueError`` naming the first feature row with a non-finite entry.
     """
     if model.spec.kind != "gaussian":
         raise UnsupportedKernelError(
@@ -242,17 +245,9 @@ def kpca_preimages(
     if bad.any():
         raise ValueError(f"feature row {int(bad.argmax())} has non-finite entries")
     x = model.training
-    start = x.mean(axis=0) if cfg.initial is None \
-        else np.asarray(cfg.initial, dtype=float).ravel()
-    if start.shape[0] != model.n_features:
-        raise ValueError(
-            f"initial point has {start.shape[0]} features, expected {model.n_features}"
-        )
-    if not np.isfinite(start).all():
-        raise ValueError("initial point has non-finite entries")
     side = PreparedRows(model.spec, x)
     t = ys.shape[0]
-    z = np.tile(start, (t, 1))
+    z = np.tile(x.mean(axis=0), (t, 1))
     iterations = np.zeros(t, dtype=int)
     status = np.full(t, "max-iterations")
     chunk = block_rows(*x.shape)

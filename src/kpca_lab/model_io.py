@@ -15,7 +15,11 @@ Layout (all integers and reals little-endian):
                   pca  -> mean (D), basis (D*M), eigenvalues (M)
                   kpca -> training (N*D), coefficients (N*M), eigenvalues (M)
 
-The kernel-PCA training Gram's column means are not stored; loading
+A kpca header holds the three fields of the model's :class:`KernelSpec`,
+where those its kind does not read are at their defaults; a pca header
+writes zeros there.  Loading builds the spec from all three fields, so it
+resets a field the kind does not read to its default whatever the header
+holds.  The kernel-PCA training Gram's column means are not stored; loading
 rebuilds the Gram and its means with :func:`kernels.gram_with_means`, as
 fitting does, then drops the Gram.
 
@@ -42,8 +46,8 @@ MAGIC = b"KPML"
 VERSION = 1
 _HEADER = struct.Struct("<4sHBBIddIII")
 
-_KERNEL_CODES = {"linear": 1, "polynomial": 2, "gaussian": 3}
-_KERNEL_NAMES = {v: k for k, v in _KERNEL_CODES.items()}
+# Kernel kinds in header code order: code i + 1 is _KERNEL_KINDS[i].
+_KERNEL_KINDS = ("linear", "polynomial", "gaussian")
 
 
 class ModelFormatError(ValueError):
@@ -64,7 +68,7 @@ def save_model(model: PcaModel | KpcaModel, path: str | Path) -> None:
         m = model.n_components
         spec = model.spec
         header = _HEADER.pack(
-            MAGIC, VERSION, 2, _KERNEL_CODES[spec.kind],
+            MAGIC, VERSION, 2, _KERNEL_KINDS.index(spec.kind) + 1,
             spec.degree, spec.offset, spec.width, n, d, m,
         )
         payload = _pack_floats(model.training, model.coefficients, model.eigenvalues)
@@ -119,15 +123,9 @@ def _parse_model(buf: bytes) -> PcaModel | KpcaModel:
         _end(buf, pos)
         return PcaModel(mean=mean, basis=basis, eigenvalues=values)
     if kind == 2:
-        if kcode not in _KERNEL_NAMES:
+        if not 1 <= kcode <= len(_KERNEL_KINDS):
             raise ModelFormatError(f"unknown kernel code {kcode}")
-        name = _KERNEL_NAMES[kcode]
-        if name == "linear":
-            spec = KernelSpec.linear()
-        elif name == "polynomial":
-            spec = KernelSpec.polynomial(degree, offset)
-        else:
-            spec = KernelSpec.gaussian(width)
+        spec = KernelSpec(_KERNEL_KINDS[kcode - 1], degree, offset, width)
         n, d, m = d0, d1, d2
         if n < 2:
             raise ModelFormatError(f"kpca model needs N >= 2 training rows, header has {n}")

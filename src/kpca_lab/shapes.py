@@ -12,7 +12,7 @@ Deformation weights b_k are conventionally limited to +/- 3 sqrt(lambda_k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -73,10 +73,7 @@ BIOID_20_ROLES = LandmarkRoleMap(
     contour=(8, 19, 13),
 )
 
-_ROLE_NAMES = (
-    "right_eyebrow", "left_eyebrow", "right_eye", "left_eye",
-    "eyeballs", "nose", "mouth", "contour",
-)
+_ROLE_NAMES = tuple(f.name for f in fields(LandmarkRoleMap))
 
 
 def shape_points(shape: np.ndarray) -> np.ndarray:
@@ -241,7 +238,6 @@ def _poly(pts: np.ndarray, close: bool) -> str:
 
 
 def _check_roles(roles: LandmarkRoleMap, n: int) -> None:
-    seen: dict[int, str] = {}
     for name in _ROLE_NAMES:
         group = getattr(roles, name)
         if len(group) == 0:

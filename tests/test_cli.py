@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,12 +8,13 @@ import numpy as np
 import pytest
 
 from kpca_lab import __version__
-from kpca_lab.cli import main
-from kpca_lab.data import read_csv_matrix, write_csv_matrix
-from kpca_lab.kpca import select_sigma
+from kpca_lab.cli import build_parser, main
+from kpca_lab.data import SpheresParams, read_csv_matrix, write_csv_matrix
+from kpca_lab.kpca import PreimageConfig, select_sigma
 from kpca_lab.shapes import BIOID_20_ROLES, fit_shape_model, normalize_shapes, read_pts, render_face_svg
 
 CORPUS_DIR = str(Path(__file__).resolve().parent.parent / "data" / "landmarks")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def gen_spheres(tmp_path, n=80, seed=5):
@@ -436,3 +438,84 @@ def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])
     assert exc_info.value.code == 2
+
+
+def parsed(argv):
+    namespace = vars(build_parser().parse_args(argv))
+    namespace["func"] = namespace["func"].__name__
+    return namespace
+
+
+def readme_commands():
+    block, = re.findall(r"```sh\nkpca-lab (.*?)```", README.read_text(encoding="utf-8"),
+                        flags=re.S)
+    return [line.split() for line in block.replace("\\\n", " ").split("\nkpca-lab ")]
+
+
+# The namespaces of the five README commands, as the CLI parsed them before
+# its shared flags were defined once.
+README_NAMESPACES = [
+    {"subcommand": "gen-spheres", "func": "cmd_gen_spheres", "n": 1000, "r1": 40.0,
+     "r2": 100.0, "noise": 1.0, "seed": 42, "out": "runs/spheres"},
+    {"subcommand": "embed", "func": "cmd_embed", "method": "kpca", "kernel": "gaussian",
+     "degree": 5, "offset": 0.0, "sigma": "auto", "components": 2,
+     "input": "runs/spheres/features.csv", "labels": "runs/spheres/labels.csv",
+     "labels_col": None, "save_model": "runs/model.kpml", "out": "runs/embed"},
+    {"subcommand": "classify", "func": "cmd_classify",
+     "train_features": "runs/embed/features.csv",
+     "train_labels": "runs/spheres/labels.csv", "test_features": None,
+     "test_labels": None, "labels_col": None, "out": "runs/clf"},
+    {"subcommand": "preimage", "func": "cmd_preimage", "model": "runs/model.kpml",
+     "input": "runs/embed/features.csv", "max_iter": 1000, "tol": 1e-9,
+     "out": "runs/pre"},
+    {"subcommand": "asm-sweep", "func": "cmd_asm_sweep", "pts_dir": "data/landmarks",
+     "method": "kpca", "feature": 1, "steps": 5, "c": 500.0, "m": 10,
+     "sigma": "auto", "max_iter": 1000, "tol": 1e-9, "role_map": None,
+     "out": "runs/sweep"},
+]
+
+
+def test_readme_commands_parse_as_before():
+    commands = readme_commands()
+    assert len(commands) == len(README_NAMESPACES)
+    for argv, expected in zip(commands, README_NAMESPACES):
+        assert parsed(argv) == expected
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("gen-spheres --seed 1 --out o",
+     {"subcommand": "gen-spheres", "func": "cmd_gen_spheres", "n": 1000, "r1": 40.0,
+      "r2": 100.0, "noise": 1.0, "seed": 1, "out": "o"}),
+    ("embed --method pca --input f.csv --out o",
+     {"subcommand": "embed", "func": "cmd_embed", "method": "pca",
+      "kernel": "gaussian", "degree": 5, "offset": 0.0, "sigma": "auto",
+      "components": 2, "input": "f.csv", "labels": None, "labels_col": None,
+      "save_model": None, "out": "o"}),
+    ("classify --train-features f.csv --out o",
+     {"subcommand": "classify", "func": "cmd_classify", "train_features": "f.csv",
+      "train_labels": None, "test_features": None, "test_labels": None,
+      "labels_col": None, "out": "o"}),
+    ("preimage --model m.kpml --input f.csv --out o",
+     {"subcommand": "preimage", "func": "cmd_preimage", "model": "m.kpml",
+      "input": "f.csv", "max_iter": 1000, "tol": 1e-9, "out": "o"}),
+    ("asm-sweep --pts-dir d --method pca --out o",
+     {"subcommand": "asm-sweep", "func": "cmd_asm_sweep", "pts_dir": "d",
+      "method": "pca", "feature": 1, "steps": 5, "c": 500.0, "m": 10,
+      "sigma": "auto", "max_iter": 1000, "tol": 1e-9, "role_map": None,
+      "out": "o"}),
+], ids=["gen-spheres", "embed", "classify", "preimage", "asm-sweep"])
+def test_required_flags_only_parse_as_before(argv, expected):
+    assert parsed(argv.split()) == expected
+
+
+def test_shared_defaults_are_the_library_defaults():
+    spheres = parsed(["gen-spheres", "--seed", "0", "--out", "o"])
+    params = SpheresParams()
+    assert (spheres["n"], spheres["r1"], spheres["r2"], spheres["noise"]) == \
+        (params.n, params.r1, params.r2, params.noise)
+    cfg = PreimageConfig()
+    for argv in (["preimage", "--model", "m", "--input", "f", "--out", "o"],
+                 ["asm-sweep", "--pts-dir", "d", "--method", "kpca", "--out", "o"]):
+        namespace = parsed(argv)
+        assert (namespace["max_iter"], namespace["tol"]) == \
+            (cfg.max_iterations, cfg.tolerance)

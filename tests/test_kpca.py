@@ -323,28 +323,6 @@ def test_preimage_divergence_detected():
     assert exc_info.value.iterate.shape == (1,)
 
 
-def test_preimage_custom_initial_point():
-    x = small_spheres(seed=8)
-    model = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), x.shape[0])
-    y = kpca_transform(model, x)
-    default = kpca_preimage(model, y[2])
-    seeded = kpca_preimage(model, y[2], PreimageConfig(initial=x[2]))
-    assert seeded.converged
-    assert np.linalg.norm(seeded.z - x[2]) <= 1e-3
-    # starting next to the answer cannot take longer than the mean start
-    assert seeded.iterations <= default.iterations
-
-
-def test_preimage_initial_point_wrong_length_rejected():
-    x = small_spheres(seed=8)
-    model = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), 3)
-    y = kpca_transform(model, x[:4])
-    with pytest.raises(ValueError, match="initial point"):
-        kpca_preimages(model, y, PreimageConfig(initial=np.zeros(2)))
-    with pytest.raises(ValueError, match="initial point"):
-        kpca_preimage(model, y[0], PreimageConfig(initial=np.zeros(4)))
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan-row", "inf-row"])
 def test_preimages_reject_non_finite_feature_rows(bad):
     x = small_spheres(seed=8)
@@ -357,17 +335,6 @@ def test_preimages_reject_non_finite_feature_rows(bad):
         kpca_preimages(model, y)
     with pytest.raises(ValueError, match="feature row 0 has non-finite entries"):
         kpca_preimage(model, y[2])
-
-
-def test_preimages_reject_non_finite_initial_point():
-    x = small_spheres(seed=8)
-    model = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), 3)
-    y = kpca_transform(model, x[:4])
-    cfg = PreimageConfig(initial=[np.nan, 0.0, 0.0])
-    with pytest.raises(ValueError, match="initial point has non-finite entries"):
-        kpca_preimages(model, y, cfg)
-    with pytest.raises(ValueError, match="initial point has non-finite entries"):
-        kpca_preimage(model, y[0], cfg)
 
 
 def reference_preimage(model, y, cfg):
@@ -496,6 +463,11 @@ def test_preimage_config_validation():
         PreimageConfig(tolerance=0.0)
     with pytest.raises(ValueError, match="tolerance must be finite"):
         PreimageConfig(tolerance=np.inf)
+    for budget in (2.5, np.inf):
+        with pytest.raises(ValueError, match="max_iterations must be integral"):
+            PreimageConfig(max_iterations=budget)
+    cfg = PreimageConfig(max_iterations=3.0)
+    assert cfg == PreimageConfig(max_iterations=3) and type(cfg.max_iterations) is int
 
 
 def test_preimage_weights_sum_to_one():

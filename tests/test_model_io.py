@@ -158,3 +158,24 @@ def test_rejects_non_finite_payload(tmp_path, block, bad):
     with pytest.raises(ModelFormatError) as info:
         load_model(path)
     assert str(info.value) == f"{path}: non-finite {block} entries"
+
+
+@pytest.mark.parametrize("spec, classmethod_form", [
+    (KernelSpec("linear", degree=-1), KernelSpec.linear()),
+    (KernelSpec("gaussian", width=2.0, offset=3.0), KernelSpec.gaussian(2.0)),
+    (KernelSpec("polynomial", degree=2, width=5.0), KernelSpec.polynomial(2)),
+], ids=["linear-degree", "gaussian-offset", "polynomial-width"])
+def test_unread_spec_fields_round_trip(tmp_path, spec, classmethod_form):
+    # A field the kind does not read holds its default, so the spec fits the
+    # header and loads equal to the one saved.
+    assert spec == classmethod_form
+    x = np.random.default_rng(62).standard_normal((8, 3))
+    path = tmp_path / "m.kpml"
+    save_model(fit_kpca(x, spec, 2), path)
+    assert load_model(path).spec == spec
+
+
+def test_header_fields_the_kind_does_not_read_are_reset(tmp_path):
+    path = tmp_path / "m.kpml"
+    write_kpca(path, 3, 2, 1)  # gaussian header with degree 0
+    assert load_model(path).spec == KernelSpec.gaussian(1.5)
