@@ -20,6 +20,9 @@ from kpca_lab.kernels import KernelSpec  # noqa: E402
 from kpca_lab.kpca import fit_kpca, select_sigma  # noqa: E402
 from kpca_lab.shapes import (  # noqa: E402
     BIOID_20_ROLES,
+    KPCA_SWEEP_C,
+    SWEEP_COMPONENTS,
+    SWEEP_STEPS,
     fit_shape_model,
     normalize_shapes,
     read_pts,
@@ -44,10 +47,10 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=Path("out/asm_sweeps"))
     parser.add_argument("--features", type=int, default=3,
                         help="sweep features 1..this")
-    parser.add_argument("--steps", type=int, default=5)
-    parser.add_argument("--m", type=int, default=10,
+    parser.add_argument("--steps", type=int, default=SWEEP_STEPS)
+    parser.add_argument("--m", type=int, default=SWEEP_COMPONENTS,
                         help="retained components per model")
-    parser.add_argument("--c", type=float, default=500.0,
+    parser.add_argument("--c", type=float, default=KPCA_SWEEP_C,
                         help="kernel sweep half-width in feature deviations")
     args = parser.parse_args()
 

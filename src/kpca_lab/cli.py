@@ -36,6 +36,9 @@ from .model_io import load_model, save_model
 from .pca import fit_pca, fit_pca_dual, pca_project
 from .shapes import (
     BIOID_20_ROLES,
+    KPCA_SWEEP_C,
+    SWEEP_COMPONENTS,
+    SWEEP_STEPS,
     ShapeError,
     normalize_shapes,
     fit_shape_model,
@@ -363,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pts-dir", required=True, help="directory of .pts files")
     p.add_argument("--method", choices=("pca", "kpca"), required=True)
     p.add_argument("--feature", type=int, default=1, help="1-based feature index")
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--c", type=float, default=500.0,
+    p.add_argument("--steps", type=int, default=SWEEP_STEPS)
+    p.add_argument("--c", type=float, default=KPCA_SWEEP_C,
                    help="kpca sweep half-range in training std deviations")
-    p.add_argument("--m", type=int, default=10, help="retained components")
+    p.add_argument("--m", type=int, default=SWEEP_COMPONENTS, help="retained components")
     p.add_argument("--role-map", help="landmark role map file")
     p.set_defaults(func=cmd_asm_sweep)
 

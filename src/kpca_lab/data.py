@@ -103,15 +103,16 @@ def write_csv_matrix(m: np.ndarray, path: str | Path) -> None:
     """Write a 2-D matrix as headerless comma-separated rows.
 
     Values are formatted with 17 significant digits, enough for an exact
-    float64 round trip through :func:`read_csv_matrix`.
+    float64 round trip through :func:`read_csv_matrix`.  Each row is one
+    format call on Python floats, which print as numpy's float64 do.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+    line = ",".join(["{:.17g}"] * m.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        for row in m:
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+        for row in m.tolist():
+            fh.write(line.format(*row))
 
 
 def read_csv_matrix(path: str | Path) -> np.ndarray:

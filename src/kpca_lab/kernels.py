@@ -14,8 +14,9 @@ in cache, not in separate passes over the whole table.
 :func:`kernel_blocks` yields the finished rows of a cross table one block
 at a time, so a caller that contracts each block never holds the table.
 The pre-image fixed point keeps one :class:`PreparedRows` for the training
-rows across its steps, so its rows are those of :func:`kernel_matrix`, bit
-for bit.
+rows across its steps and takes its gaussian exponents from
+:meth:`PreparedRows.exponents`: one product with a (D + 2) x N operand,
+built at the first call so no kernel table holds it, and no pass after it.
 
 Self tables (``kernel_matrix(spec, x, x)``, ``sq_dists(x, x)``) are exactly
 symmetric because each is built from one self-product of the prepared rows:
@@ -144,12 +145,14 @@ class PreparedRows:
 
     :func:`kernel_blocks`, and through it every cross table, prepares ``b``
     once per call; :func:`_self_table` takes the self-product of ``rows``;
-    the pre-image fixed point prepares the training rows once per batch.
+    the pre-image fixed point prepares the training rows once per batch and
+    calls :meth:`exponents` at every step.
     """
 
     def __init__(self, spec: KernelSpec | None, b: np.ndarray):
         self.spec = spec
         self.dist = spec is None or spec.kind == "gaussian"
+        self._augmented = None
         if self.dist:
             self.shift = b.mean(axis=0)
             b = b - self.shift
@@ -190,9 +193,27 @@ class PreparedRows:
             raw **= self.spec.degree
         return raw
 
-    def kernel_rows(self, a: np.ndarray) -> np.ndarray:
-        """Finished rows of ``a`` against ``b``, those of the cross table."""
-        return self.finish(self.raw(a))
+    def exponents(self, a: np.ndarray) -> np.ndarray:
+        """Gaussian exponents c |a_i - b_j|^2, c = -1/(2 sigma^2), a fresh array.
+
+        One product gives them with no pass after it:
+        [-2c (a - m), c |a - m|^2, c] [b - m, 1, |b - m|^2]^T, with m the
+        mean ``shift``.  The (D + 2) x N right operand is built at the first
+        call and kept, so the kernel tables never hold it.  Unlike
+        :meth:`finish` this does not clamp: an exponent comes out positive
+        only by rounding, where a row of ``a`` sits on a row of ``b``, and
+        its ``exp`` is then 1 + O(eps).
+        """
+        if self._augmented is None:
+            self._augmented = np.vstack(
+                [self.rows.T, np.ones(self.rows.shape[0]), self.norms])
+        c = -1.0 / (2.0 * self.spec.width**2)
+        a = a - self.shift
+        left = np.empty((a.shape[0], a.shape[1] + 2))
+        np.multiply(a, -2.0 * c, out=left[:, :-2])
+        left[:, -2] = c * np.einsum("ij,ij->i", a, a)
+        left[:, -1] = c
+        return left @ self._augmented
 
     def blocks(self, a: np.ndarray):
         """Yield ``(i0, i1, raw)``: the raw rows of a[i0:i1], a fresh block each.

@@ -4,7 +4,7 @@ Layout (all integers and reals little-endian):
 
     offset  size  field
     0       4     magic b"KPML"
-    4       2     container version (uint16, currently 1)
+    4       2     container version (uint16, currently 2; 1 is read too)
     6       1     model kind: 1 = pca, 2 = kpca
     7       1     kernel kind: 0 = none, 1 = linear, 2 = polynomial, 3 = gaussian
     8       4     kernel degree (uint32)
@@ -13,15 +13,19 @@ Layout (all integers and reals little-endian):
     28      4x3   dimensions (uint32): pca -> (D, M, 0); kpca -> (N, D, M)
     40      ...   payload, row-major float64 blocks:
                   pca  -> mean (D), basis (D*M), eigenvalues (M)
-                  kpca -> training (N*D), coefficients (N*M), eigenvalues (M)
+                  kpca -> training (N*D), coefficients (N*M), eigenvalues (M),
+                          then in version 2 the training Gram's column means (N)
 
 A kpca header holds the three fields of the model's :class:`KernelSpec`,
 where those its kind does not read are at their defaults; a pca header
 writes zeros there.  Loading builds the spec from all three fields, so it
 resets a field the kind does not read to its default whatever the header
-holds.  The kernel-PCA training Gram's column means are not stored; loading
+holds.  Version 2 stores the kernel-PCA training Gram's column means, so
+loading builds no Gram.  A version 1 container has no means; loading
 rebuilds the Gram and its means with :func:`kernels.gram_with_means`, as
-fitting does, then drops the Gram.
+fitting does, then drops the Gram, so both versions of one fit load
+bit-identical models.  Saving writes version 2, and a pca payload is the
+same in both versions.
 
 Loading rejects, with :class:`ModelFormatError` naming the file, any
 container that does not match this layout exactly: a short header or
@@ -43,7 +47,7 @@ from .kpca import KpcaModel
 from .pca import PcaModel
 
 MAGIC = b"KPML"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sHBBIddIII")
 
 # Kernel kinds in header code order: code i + 1 is _KERNEL_KINDS[i].
@@ -71,7 +75,8 @@ def save_model(model: PcaModel | KpcaModel, path: str | Path) -> None:
             MAGIC, VERSION, 2, _KERNEL_KINDS.index(spec.kind) + 1,
             spec.degree, spec.offset, spec.width, n, d, m,
         )
-        payload = _pack_floats(model.training, model.coefficients, model.eigenvalues)
+        payload = _pack_floats(model.training, model.coefficients, model.eigenvalues,
+                               model.train_col_means)
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     Path(path).write_bytes(header + payload)
@@ -110,7 +115,7 @@ def _parse_model(buf: bytes) -> PcaModel | KpcaModel:
         _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise ModelFormatError(f"bad magic {magic!r}")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise ModelFormatError(f"unsupported container version {version}")
     pos = _HEADER.size
     if kind == 1:
@@ -134,12 +139,16 @@ def _parse_model(buf: bytes) -> PcaModel | KpcaModel:
         training, pos = _take(buf, pos, (n, d), "training")
         coeffs, pos = _take(buf, pos, (n, m), "coefficient")
         values, pos = _take(buf, pos, (m,), "eigenvalue")
+        if version == 1:
+            means = gram_with_means(spec, training)[1]
+        else:
+            means, pos = _take(buf, pos, (n,), "column mean")
         _end(buf, pos)
         return KpcaModel(
             training=training,
             spec=spec,
             coefficients=coeffs,
             eigenvalues=values,
-            train_col_means=gram_with_means(spec, training)[1],
+            train_col_means=means,
         )
     raise ModelFormatError(f"unknown model kind {kind}")

@@ -152,6 +152,14 @@ def synthesize(model: pca.PcaModel, b: np.ndarray, clamp: bool = False) -> np.nd
     return pca.pca_reconstruct(model, b)
 
 
+# Sweep settings shared by ``kpca-lab asm-sweep`` and scripts/run_asm_sweeps.py:
+# shapes per sweep, retained components, and the kernel sweep's half-range
+# in training standard deviations.
+SWEEP_STEPS = 5
+SWEEP_COMPONENTS = 10
+KPCA_SWEEP_C = 500.0
+
+
 def _sweep_rows(eigenvalues: np.ndarray, k: int, half: float, steps: int) -> np.ndarray:
     """Rows sweeping feature k (1-based) over +/- half sqrt(lambda_k); others 0."""
     m = eigenvalues.shape[0]

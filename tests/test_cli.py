@@ -11,6 +11,7 @@ from kpca_lab import __version__
 from kpca_lab.cli import build_parser, main
 from kpca_lab.data import SpheresParams, read_csv_matrix, write_csv_matrix
 from kpca_lab.kpca import PreimageConfig, select_sigma
+from kpca_lab import shapes
 from kpca_lab.shapes import BIOID_20_ROLES, fit_shape_model, normalize_shapes, read_pts, render_face_svg
 
 CORPUS_DIR = str(Path(__file__).resolve().parent.parent / "data" / "landmarks")
@@ -519,3 +520,10 @@ def test_shared_defaults_are_the_library_defaults():
         namespace = parsed(argv)
         assert (namespace["max_iter"], namespace["tol"]) == \
             (cfg.max_iterations, cfg.tolerance)
+
+
+def test_asm_sweep_defaults_are_the_shared_sweep_settings():
+    namespace = parsed(["asm-sweep", "--pts-dir", "d", "--method", "kpca", "--out", "o"])
+    assert (namespace["steps"], namespace["m"], namespace["c"]) == \
+        (shapes.SWEEP_STEPS, shapes.SWEEP_COMPONENTS, shapes.KPCA_SWEEP_C)
+    assert (shapes.SWEEP_STEPS, shapes.SWEEP_COMPONENTS, shapes.KPCA_SWEEP_C) == (5, 10, 500.0)

@@ -120,6 +120,24 @@ def test_csv_full_precision_round_trip(tmp_path):
     assert np.array_equal(read_csv_matrix(path), m)
 
 
+def per_value_csv(m):
+    # The writer's bytes as formatted one numpy scalar at a time.
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in m)
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[np.nan, -np.nan, np.inf, -np.inf], [-0.0, 0.0, 5e-324, -5e-324],
+              [1e308, -1e308, 0.1, -1.5]]),
+    np.array([[0.1], [2.0 / 3.0]]),
+    np.zeros((3, 0)),
+    np.zeros((0, 4)),
+], ids=["specials", "one-column", "no-columns", "no-rows"])
+def test_csv_bytes_match_per_value_formatting(tmp_path, m):
+    path = tmp_path / "m.csv"
+    write_csv_matrix(m, path)
+    assert path.read_bytes() == per_value_csv(m).encode("ascii")
+
+
 def test_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -192,9 +192,7 @@ def test_cross_kernel_matrix_matches_unblocked_form(monkeypatch, spec, rows_per_
     assert len(blocks) == -(-90 // (rows_per_block or 90))
     assert np.array_equal(np.vstack([blk for _, _, blk in blocks]), k)
     if spec.kind == "gaussian":
-        # The pre-image fixed point computes these rows with the same
-        # kernels.PreparedRows(spec, b).kernel_rows, prepared once per
-        # batch: bit-equal.
+        # Scaling and exponentiating each block in cache changes no bit.
         assert np.array_equal(k, expected)
     else:
         assert np.abs(k - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -282,14 +280,17 @@ def test_tables_bit_equal_reference_formulas(monkeypatch, spec, offset, rows_per
     assert np.array_equal(self_table, reference_self_table(spec, b, step))
 
 
-@pytest.mark.parametrize("spec", [KernelSpec.linear(), KernelSpec.polynomial(3, 1.0),
-                                  KernelSpec.gaussian(2.5)], ids=lambda s: s.kind)
-def test_prepared_kernel_rows_are_the_cross_table(spec):
+@pytest.mark.parametrize("offset", [0.0, 1e3], ids=["origin", "far"])
+def test_prepared_exponents_give_the_cross_table(offset):
     rng = np.random.default_rng(24)
-    a = rng.standard_normal((90, 7)) * 3.0 + 1.0
-    b = rng.standard_normal((300, 7)) * 3.0 + 1.0
-    assert np.array_equal(kernels.PreparedRows(spec, b).kernel_rows(a),
-                          kernel_matrix(spec, a, b))
+    a = rng.standard_normal((90, 7)) * 3.0 + offset
+    b = rng.standard_normal((300, 7)) * 3.0 + offset
+    spec = KernelSpec.gaussian(2.5)
+    side = kernels.PreparedRows(spec, b)
+    k = kernel_matrix(spec, a, b)
+    for _ in range(2):  # the right operand is built once, then reused
+        got = np.exp(side.exponents(a))
+        assert (np.abs(got - k) <= 1e-13 * k).all()
 
 
 def test_kernel_matrix_dimension_mismatch():

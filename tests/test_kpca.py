@@ -396,6 +396,56 @@ def kernel_table_preimages(model, ys, cfg):
     return z, iterations, status
 
 
+def product_form_preimages(model, ys, cfg):
+    """The batched fixed point, each step in product form: (z, iterations, status).
+
+    Per step: one product [-2c (z - m), c |z - m|^2, c] [x - m, 1, |x - m|^2]^T
+    gives the exponents c |z - x_j|^2, c = -1/(2 sigma^2) and m the training
+    mean; exp in place; the weights; products with x and with the ones
+    vector give the numerator and the denominator.
+    """
+    x = model.training
+    shift = x.mean(axis=0)
+    rows = x - shift
+    right = np.vstack([rows.T, np.ones(x.shape[0]), np.einsum("ij,ij->i", rows, rows)])
+    ones = np.ones(x.shape[0])
+    c = -1.0 / (2.0 * model.spec.width**2)
+    t = ys.shape[0]
+    z = np.tile(x.mean(axis=0), (t, 1))
+    iterations = np.zeros(t, dtype=int)
+    status = np.full(t, "max-iterations")
+    chunk = kpca.block_rows(*x.shape)
+    for c0 in range(0, t, chunk):
+        active = np.arange(c0, min(c0 + chunk, t))
+        weights = preimage_weights(model, ys[active])
+        for iteration in range(1, cfg.max_iterations + 1):
+            z_active = z[active]
+            zs = z_active - shift
+            left = np.empty((zs.shape[0], zs.shape[1] + 2))
+            np.multiply(zs, -2.0 * c, out=left[:, :-2])
+            left[:, -2] = c * np.einsum("ij,ij->i", zs, zs)
+            left[:, -1] = c
+            w = left @ right
+            np.exp(w, out=w)
+            w *= weights
+            num = w @ x
+            denom = w @ ones
+            iterations[active] = iteration
+            ok = np.isfinite(denom) & (np.abs(denom) >= 1e-300)
+            if not ok.all():
+                status[active[~ok]] = "diverged"
+                active, weights, z_active, num, denom = (
+                    v[ok] for v in (active, weights, z_active, num, denom))
+            z_next = num / denom[:, None]
+            done = np.linalg.norm(z_next - z_active, axis=1) < cfg.tolerance
+            z[active] = z_next
+            status[active[done]] = "converged"
+            active, weights = active[~done], weights[~done]
+            if not active.size:
+                break
+    return z, iterations, status
+
+
 def assert_same_preimages(batch, z, iterations, status):
     batch_z, batch_iterations, batch_status = batch
     assert batch_status.tolist() == list(status)
@@ -427,16 +477,18 @@ def test_kpca_preimages_independent_of_chunk(monkeypatch, chunk):
 
 @pytest.mark.parametrize("chunk", [None, 1, 7], ids=["default", "1", "7"])
 def test_kpca_preimages_bit_equal_kernel_table_form(monkeypatch, chunk):
-    # The prepared training rows give the rows of kernel_matrix(spec, z, x)
-    # bit for bit, so every iterate, count and status is the same.
+    # Each step is the written-out product form bit for bit, so every
+    # iterate, count and status is the same.  Against the kernel_matrix(spec,
+    # z, x) form it differs only by rounding: the same counts and statuses.
     model, y, cfg = mixed_status_batch()
     if chunk is not None:
         monkeypatch.setattr(kpca, "block_rows", lambda n, d: chunk)
     got = kpca_preimages(model, y, cfg)
-    expected = kernel_table_preimages(model, y, cfg)
+    expected = product_form_preimages(model, y, cfg)
     assert set(expected[2]) == {"converged", "diverged", "max-iterations"}
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
+    assert_same_preimages(got, *kernel_table_preimages(model, y, cfg))
 
 
 def test_kpca_preimages_prepare_the_training_rows_once(monkeypatch):
@@ -454,6 +506,26 @@ def test_kpca_preimages_prepare_the_training_rows_once(monkeypatch):
     # 43 chunks of up to 7 rows take hundreds of steps; one preparation.
     assert iterations.sum() > 300
     assert len(prepared) == 1 and prepared[0] is model.training
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_kpca_preimages_step_only_unfinished_rows(monkeypatch, chunk):
+    # A chunk stops stepping once every row has converged or diverged, so
+    # the rows stepped add up to the iteration counts.
+    model, y, cfg = mixed_status_batch()
+    stepped = []
+
+    class Spy(kernels.PreparedRows):
+        def exponents(self, a):
+            stepped.append(a.shape[0])
+            return super().exponents(a)
+
+    monkeypatch.setattr(kpca, "PreparedRows", Spy)
+    monkeypatch.setattr(kpca, "block_rows", lambda n, d: chunk)
+    _, iterations, status = kpca_preimages(model, y, cfg)
+    assert "diverged" in set(status)
+    assert 0 not in stepped
+    assert sum(stepped) == iterations.sum()
 
 
 def test_preimage_config_validation():

@@ -36,7 +36,7 @@ def test_kpca_round_trip_all_kernels(tmp_path, spec):
     assert np.array_equal(loaded.training, model.training)
     assert np.array_equal(loaded.coefficients, model.coefficients)
     assert np.array_equal(loaded.eigenvalues, model.eigenvalues)
-    # the training Gram's column means are rebuilt deterministically on load
+    # the training Gram's column means are stored, so they load bit for bit
     assert np.array_equal(loaded.train_col_means, model.train_col_means)
     assert np.array_equal(kpca_transform(loaded, x), kpca_transform(model, x))
 
@@ -87,8 +87,11 @@ def test_rejects_wrong_object():
 
 
 def write_kpca(path, n, d, m, training=None, coefficients=None, eigenvalues=None):
-    """A gaussian kpca container with the given header dimensions and payload."""
-    header = _HEADER.pack(MAGIC, VERSION, 2, 3, 0, 0.0, 1.5, n, d, m)
+    """A version 1 gaussian kpca container with the given header dimensions and payload.
+
+    Version 1 stores no column means, so loading rebuilds them from the training rows.
+    """
+    header = _HEADER.pack(MAGIC, 1, 2, 3, 0, 0.0, 1.5, n, d, m)
     blocks = (np.ones(n * d) if training is None else training,
               np.ones(n * m) if coefficients is None else coefficients,
               np.ones(m) if eigenvalues is None else eigenvalues)
@@ -179,3 +182,54 @@ def test_header_fields_the_kind_does_not_read_are_reset(tmp_path):
     path = tmp_path / "m.kpml"
     write_kpca(path, 3, 2, 1)  # gaussian header with degree 0
     assert load_model(path).spec == KernelSpec.gaussian(1.5)
+
+
+def as_version_1(blob, n):
+    # The version 2 container of a kpca fit, minus its N column means.
+    return blob[:4] + (1).to_bytes(2, "little") + blob[6:len(blob) - 8 * n]
+
+
+@pytest.mark.parametrize("spec", [KernelSpec.polynomial(2, 1.0), KernelSpec.gaussian(1.5)],
+                         ids=lambda s: s.kind)
+def test_version_1_and_2_load_bit_identical(tmp_path, spec):
+    rng = np.random.default_rng(63)
+    x = rng.standard_normal((40, 3))
+    model = fit_kpca(x, spec, 3)
+    path = tmp_path / "m.kpml"
+    save_model(model, path)
+    blob = path.read_bytes()
+    assert _HEADER.unpack_from(blob)[1] == VERSION == 2
+    v1 = tmp_path / "v1.kpml"
+    v1.write_bytes(as_version_1(blob, 40))
+    loaded_v1, loaded_v2 = load_model(v1), load_model(path)
+    q = rng.standard_normal((25, 3))
+    assert np.array_equal(loaded_v2.train_col_means, model.train_col_means)
+    assert np.array_equal(loaded_v1.train_col_means, loaded_v2.train_col_means)
+    assert np.array_equal(kpca_transform(loaded_v1, q), kpca_transform(loaded_v2, q))
+    assert np.array_equal(kpca_transform(loaded_v2, q), kpca_transform(model, q))
+
+
+def test_version_2_payload_one_mean_short_is_rejected(tmp_path):
+    x = np.random.default_rng(64).standard_normal((6, 2))
+    path = tmp_path / "m.kpml"
+    save_model(fit_kpca(x, KernelSpec.gaussian(1.0), 2), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8])
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == \
+        f"{path}: truncated payload: need {len(blob)} bytes, have {len(blob) - 8}"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_column_means(tmp_path, bad):
+    x = np.random.default_rng(65).standard_normal((6, 2))
+    path = tmp_path / "m.kpml"
+    save_model(fit_kpca(x, KernelSpec.gaussian(1.0), 2), path)
+    blob = bytearray(path.read_bytes())
+    blob[-8:] = np.array([bad], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: non-finite column mean entries"
