@@ -233,7 +233,7 @@ def cmd_classify(args) -> int:
 
 def cmd_preimage(args) -> int:
     model = load_model(args.model)
-    if not isinstance(model, KpcaModel) or model.spec.kind != "gaussian":
+    if not isinstance(model, KpcaModel):
         raise ValueError("pre-images need a gaussian kernel-PCA model")
     cfg = PreimageConfig(max_iterations=args.max_iter, tolerance=args.tol)
     z, iterations, status = kpca_preimages(model, read_csv_matrix(args.input), cfg)

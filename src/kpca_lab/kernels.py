@@ -5,18 +5,17 @@ Every kernel table, and the squared-distance table, is built through
 made: it decides once whether they are squared distances (the gaussian
 kernel and :func:`sq_dists`) or dot products (the linear and polynomial
 kernels), prepares the right-hand rows for that, and owns the raw product,
-the finishing and the loop over row blocks.
+the finishing and the loop over row blocks.  Distance rows have one
+formula, :meth:`PreparedRows.raw`, c |a - b|^2 from one product (c = 1, or
+-1/(2 sigma^2) for the gaussian): cross tables, the transform, the width
+heuristic and every pre-image step take their rows from it.
 
 Tables are built in row blocks of :func:`block_rows` rows, about 2 MB
-each, and every elementwise step (distance finishing, clamp, gaussian scale
-and ``exp``, polynomial offset and power) runs on a block while it is still
-in cache, not in separate passes over the whole table.
-:func:`kernel_blocks` yields the finished rows of a cross table one block
-at a time, so a caller that contracts each block never holds the table.
-The pre-image fixed point keeps one :class:`PreparedRows` for the training
-rows across its steps and takes its gaussian exponents from
-:meth:`PreparedRows.exponents`: one product with a (D + 2) x N operand,
-built at the first call so no kernel table holds it, and no pass after it.
+each, and every elementwise step (clamp, gaussian ``exp``, polynomial
+offset and power) runs on a block while it is still in cache, not in
+separate passes over the whole table.  :func:`kernel_blocks` yields the
+finished rows of a cross table one block at a time, so a caller that
+contracts each block never holds the table.
 
 Self tables (``kernel_matrix(spec, x, x)``, ``sq_dists(x, x)``) are exactly
 symmetric because each is built from one self-product of the prepared rows:
@@ -135,85 +134,72 @@ class PreparedRows:
     """The rows ``b`` prepared once as the right-hand side of kernel rows.
 
     ``spec`` None stands for squared distances.  ``dist`` records the one
-    decision of this module: whether the raw rows are squared distances
-    (``spec`` None or gaussian) or dot products (linear, polynomial).  For
-    distances ``rows`` are ``b`` shifted by its mean ``shift``, and
-    ``norms`` their squared norms; the left rows are shifted the same way,
-    which leaves distances unchanged and removes the cancellation of
-    |a|^2 + |b|^2 - 2ab for data far from the origin.  For dot products
-    ``rows`` is ``b`` itself.
+    decision of this module: whether the raw rows are scaled squared
+    distances c |a - b|^2 (``spec`` None, c = 1, or gaussian,
+    c = -1/(2 sigma^2)) or dot products (linear, polynomial).  For
+    distances the rows are shifted by their mean ``shift``, which leaves
+    distances unchanged and removes the cancellation of |a|^2 + |b|^2 - 2ab
+    for data far from the origin, and laid out once as the C-order
+    N x (D + 2) buffer [b - m, 1, |b - m|^2]: ``rows`` is its first D
+    columns and ``norms`` its last, both views, so the self-product of
+    ``rows`` reads the same memory and nothing is copied a second time.
+    For dot products ``rows`` is ``b`` itself.
 
     :func:`kernel_blocks`, and through it every cross table, prepares ``b``
     once per call; :func:`_self_table` takes the self-product of ``rows``;
     the pre-image fixed point prepares the training rows once per batch and
-    calls :meth:`exponents` at every step.
+    calls :meth:`raw` at every step.
     """
 
     def __init__(self, spec: KernelSpec | None, b: np.ndarray):
         self.spec = spec
         self.dist = spec is None or spec.kind == "gaussian"
-        self._augmented = None
         if self.dist:
+            self._scale = 1.0 if spec is None else -1.0 / (2.0 * spec.width**2)
             self.shift = b.mean(axis=0)
-            b = b - self.shift
-            self.norms = np.einsum("ij,ij->i", b, b)
+            d = b.shape[1]
+            self._right = np.empty((b.shape[0], d + 2))
+            b = np.subtract(b, self.shift, out=self._right[:, :d])
+            self._right[:, d] = 1.0
+            self.norms = np.einsum("ij,ij->i", b, b, out=self._right[:, d + 1])
         self.rows = b
 
     def raw(self, a: np.ndarray) -> np.ndarray:
         """Raw rows of ``a`` against ``b``, a fresh array.
 
-        Unclamped squared distances -2 a b^T + |a|^2 + |b|^2, with ``a``
-        shifted as ``b`` was, or the dot products a b^T.  The -2 scales a
-        fresh shifted copy of ``a``; scaling by a power of two is exact.
+        Scaled distances c |a - b|^2 come from one product with no pass
+        after it, [-2c (a - m), c |a - m|^2, c] [b - m, 1, |b - m|^2]^T
+        with m the ``shift``.  They are not clamped: where a row of ``a``
+        sits on a row of ``b`` an entry can take the wrong sign at rounding
+        size, which :meth:`finish` clamps.  Dot products are a b^T.
         """
         if not self.dist:
             return a @ self.rows.T
-        a = a - self.shift
-        norms = np.einsum("ij,ij->i", a, a)
-        a *= -2.0
-        d2 = a @ self.rows.T
-        d2 += norms[:, None]
-        d2 += self.norms
-        return d2
-
-    def finish(self, raw: np.ndarray) -> np.ndarray:
-        """Finish raw rows into kernel rows in place, and return them.
-
-        Squared distances are clamped at 0 and, for the gaussian kernel,
-        scaled by -1/(2 sigma^2) and exponentiated; the polynomial kernel
-        adds its offset to the dot products and raises them to its degree.
-        """
-        if self.dist:
-            np.maximum(raw, 0.0, out=raw)
-            if self.spec is not None:
-                raw *= -1.0 / (2.0 * self.spec.width**2)
-                np.exp(raw, out=raw)
-        elif self.spec.kind == "polynomial":
-            raw += self.spec.offset
-            raw **= self.spec.degree
-        return raw
-
-    def exponents(self, a: np.ndarray) -> np.ndarray:
-        """Gaussian exponents c |a_i - b_j|^2, c = -1/(2 sigma^2), a fresh array.
-
-        One product gives them with no pass after it:
-        [-2c (a - m), c |a - m|^2, c] [b - m, 1, |b - m|^2]^T, with m the
-        mean ``shift``.  The (D + 2) x N right operand is built at the first
-        call and kept, so the kernel tables never hold it.  Unlike
-        :meth:`finish` this does not clamp: an exponent comes out positive
-        only by rounding, where a row of ``a`` sits on a row of ``b``, and
-        its ``exp`` is then 1 + O(eps).
-        """
-        if self._augmented is None:
-            self._augmented = np.vstack(
-                [self.rows.T, np.ones(self.rows.shape[0]), self.norms])
-        c = -1.0 / (2.0 * self.spec.width**2)
+        c = self._scale
         a = a - self.shift
         left = np.empty((a.shape[0], a.shape[1] + 2))
         np.multiply(a, -2.0 * c, out=left[:, :-2])
         left[:, -2] = c * np.einsum("ij,ij->i", a, a)
         left[:, -1] = c
-        return left @ self._augmented
+        return left @ self._right.T
+
+    def finish(self, raw: np.ndarray) -> np.ndarray:
+        """Finish raw rows into kernel rows in place, and return them.
+
+        Each distance kind is clamped to its sign: squared distances at 0
+        from below, gaussian exponents at 0 from above and then
+        exponentiated.  The polynomial kernel adds its offset to the dot
+        products and raises them to its degree.
+        """
+        if self.spec is None:
+            np.maximum(raw, 0.0, out=raw)
+        elif self.dist:
+            np.minimum(raw, 0.0, out=raw)
+            np.exp(raw, out=raw)
+        elif self.spec.kind == "polynomial":
+            raw += self.spec.offset
+            raw **= self.spec.degree
+        return raw
 
     def blocks(self, a: np.ndarray):
         """Yield ``(i0, i1, raw)``: the raw rows of a[i0:i1], a fresh block each.
@@ -234,9 +220,10 @@ def _self_table(spec: KernelSpec | None, x: np.ndarray,
     The self-product G of the rows of ``PreparedRows(spec, x)`` is the only
     N x N array.  Each block of :func:`block_rows` rows is then finished in
     place while it is in cache: distances as -2 G_ij + (|x_i|^2 + |x_j|^2),
-    a sum of symmetric terms, with their part of the diagonal set to 0,
-    then :meth:`PreparedRows.finish`, which keeps a zero distance exactly 0
-    and makes it exactly 1 for the gaussian kernel.  The table is exactly
+    a sum of symmetric terms, with their part of the diagonal set to 0 and
+    scaled by the c of :meth:`PreparedRows.raw`, then
+    :meth:`PreparedRows.finish`, which keeps a zero distance exactly 0 and
+    makes it exactly 1 for the gaussian kernel.  The table is exactly
     symmetric.  Given ``row_means``, each finished block's row means are
     written into it there, so the table is not read again for them.
     """
@@ -249,6 +236,7 @@ def _self_table(spec: KernelSpec | None, x: np.ndarray,
             blk *= -2.0
             blk += np.add.outer(side.norms[i0:i0 + step], side.norms)
             np.fill_diagonal(blk[:, i0:], 0.0)
+            blk *= side._scale
         side.finish(blk)
         if row_means is not None:
             blk.mean(axis=1, out=row_means[i0:i0 + step])

@@ -21,11 +21,12 @@ the data region.
 prepared once per batch as ``kernels.PreparedRows(spec, x)``, the object
 behind every kernel table.  Each step then makes five passes over its rows
 of N weights: one product gives the exponents -|z - x_i|^2 / (2 sigma^2)
-(:meth:`kernels.PreparedRows.exponents`), ``exp`` runs in place, the g_i
-multiply them, a product with x gives the numerator and a product with the
-ones vector the denominator.  The weights agree with
-``kernel_matrix(spec, z, x)`` to rounding.  :func:`kpca_preimage` is the
-one-row form.
+(:meth:`kernels.PreparedRows.raw`, the row formula the transform and every
+gaussian kernel table use), ``exp`` runs in place, the g_i multiply them, a
+product with x gives the numerator and a product with the ones vector the
+denominator.  The kernel values are those of ``kernel_matrix(spec, z, x)``
+except that their exponents are not clamped at 0.  :func:`kpca_preimage`
+is the one-row form.
 """
 
 from __future__ import annotations
@@ -231,10 +232,10 @@ def kpca_preimages(
     Rows run in chunks of :func:`kernels.block_rows`, which keeps each
     chunk x N temporary near 2 MB.  The training rows are prepared once as
     ``kernels.PreparedRows(model.spec, x)``.  Each step takes the chunk's
-    exponents from one product (:meth:`~kernels.PreparedRows.exponents`),
-    exponentiates them in place and multiplies in the weights; products
-    with x and with the ones vector then give the numerator and the
-    denominator.  They stay two products: at N = 1000 and D = 3, one
+    exponents from one product (:meth:`~kernels.PreparedRows.raw`),
+    exponentiates them in place, unclamped, and multiplies in the weights;
+    products with x and with the ones vector then give the numerator and
+    the denominator.  They stay two products: at N = 1000 and D = 3, one
     product with [x, 1] leaves OpenBLAS's small-matrix path and touches
     about 0.4 MB more of each BLAS thread's buffer.
     Raises :class:`UnsupportedKernelError` for non-gaussian models and
@@ -265,7 +266,7 @@ def kpca_preimages(
         weights = preimage_weights(model, ys[active])
         for iteration in range(1, cfg.max_iterations + 1):
             z_active = z[active]
-            w = side.exponents(z_active)
+            w = side.raw(z_active)
             np.exp(w, out=w)
             w *= weights
             num = w @ x

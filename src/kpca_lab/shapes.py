@@ -328,9 +328,12 @@ def parse_pts(text: str, source: str = "<string>") -> np.ndarray:
         if len(fields) != 2:
             raise PtsParseError(f"{source}: bad point line {ln!r}")
         try:
-            coords.append((float(fields[0]), float(fields[1])))
+            point = (float(fields[0]), float(fields[1]))
         except ValueError:
             raise PtsParseError(f"{source}: bad point line {ln!r}") from None
+        if not np.isfinite(point).all():
+            raise PtsParseError(f"{source}: non-finite coordinate in point line {ln!r}")
+        coords.append(point)
     return points_shape(np.array(coords))
 
 
@@ -384,4 +387,9 @@ def parse_role_map(text: str) -> LandmarkRoleMap:
 
 
 def read_role_map(path: str | Path) -> LandmarkRoleMap:
-    return parse_role_map(Path(path).read_text(encoding="ascii"))
+    """Read a role-map file (see :func:`parse_role_map`); errors name the path."""
+    path = Path(path)
+    try:
+        return parse_role_map(path.read_text(encoding="ascii"))
+    except (UnicodeDecodeError, RoleMapError) as exc:
+        raise RoleMapError(f"{path}: {exc}") from None

@@ -266,6 +266,25 @@ def test_preimage_rejects_pca_model(tmp_path, capsys):
     assert "gaussian" in capsys.readouterr().err
 
 
+def test_preimage_rejects_linear_kpca_model(tmp_path, capsys):
+    # The fixed point names the kernel kind it needs and the one it got.
+    data = gen_spheres(tmp_path, n=20)
+    embed_out = tmp_path / "embed"
+    model_path = tmp_path / "model.kpml"
+    assert main(["embed", "--method", "kpca", "--kernel", "linear",
+                 "--components", "2", "--input", str(data / "features.csv"),
+                 "--save-model", str(model_path),
+                 "--out", str(embed_out)]) == 0
+    out = tmp_path / "pre"
+    status = main(["preimage", "--model", str(model_path),
+                   "--input", str(embed_out / "features.csv"),
+                   "--out", str(out)])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "gaussian" in err and "'linear'" in err
+    assert not out.exists()
+
+
 def test_asm_sweep_pca(tmp_path):
     out = tmp_path / "sweep"
     assert main(["asm-sweep", "--pts-dir", CORPUS_DIR, "--method", "pca",
@@ -324,6 +343,25 @@ def test_asm_sweep_role_map_file(tmp_path):
                  "--steps", "3", "--role-map", str(roles),
                  "--out", str(out)]) == 0
     assert len(sorted(out.glob("step_*.svg"))) == 3
+
+
+@pytest.mark.parametrize("method", ["pca", "kpca"])
+@pytest.mark.parametrize("cell", ["nan", "-inf"])
+def test_asm_sweep_non_finite_pts_names_the_file(tmp_path, capsys, method, cell):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for src in sorted(Path(CORPUS_DIR).glob("*.pts")):
+        (corpus / src.name).write_text(src.read_text())
+    bad = corpus / "face_03.pts"
+    lines = bad.read_text().splitlines()
+    lines[5] = f"{cell} {lines[5].split()[1]}"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "sweep"
+    assert main(["asm-sweep", "--pts-dir", str(corpus), "--method", method,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: non-finite coordinate in point line '{lines[5]}'" in err
+    assert not out.exists()
 
 
 def test_asm_sweep_needs_pts_files(tmp_path, capsys):

@@ -178,8 +178,8 @@ def test_cross_kernel_matrix_matches_unblocked_form(monkeypatch, spec, rows_per_
     if rows_per_block is not None:
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 300)
     if spec.kind == "gaussian":
-        # The distance rows at this block size, scaled and exponentiated
-        # after the whole table is built.
+        # The two-pass form: the distance table at this block size, scaled
+        # and exponentiated after it is built.
         expected = sq_dists(a, b)
         expected *= -1.0 / (2.0 * spec.width**2)
         np.exp(expected, out=expected)
@@ -192,16 +192,18 @@ def test_cross_kernel_matrix_matches_unblocked_form(monkeypatch, spec, rows_per_
     assert len(blocks) == -(-90 // (rows_per_block or 90))
     assert np.array_equal(np.vstack([blk for _, _, blk in blocks]), k)
     if spec.kind == "gaussian":
-        # Scaling and exponentiating each block in cache changes no bit.
-        assert np.array_equal(k, expected)
+        # Exponents from one product agree with it to rounding, and clamping
+        # them at 0 keeps every entry a kernel value.
+        assert (np.abs(k - expected) <= 1e-13 * expected).all()
+        assert (k <= 1.0).all()
     else:
         assert np.abs(k - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def reference_finish(spec, t):
-    # Finishing of raw rows: clamped, scaled and exponentiated distances
-    # (spec None or gaussian), or dot products with the polynomial offset
-    # and power.
+    # Finishing of the self table's distances: clamped at 0, then for the
+    # gaussian scaled and exponentiated; or dot products with the
+    # polynomial offset and power.
     if spec is None or spec.kind == "gaussian":
         np.maximum(t, 0.0, out=t)
         if spec is not None:
@@ -234,25 +236,31 @@ def reference_self_table(spec, x, step):
 
 
 def reference_cross_table(spec, a, b, step):
-    # Per block of rows of a: distances as (a - m) (-2 (b - m))^T
-    # + |a - m|^2 + |b - m|^2 with m the mean of b, or the dot products
-    # a b^T; then finish.
+    # Per block of rows of a: distances from one product
+    # [-2c (a - m), c |a - m|^2, c] [b - m, 1, |b - m|^2]^T with m the mean
+    # of b and c = 1 (spec None) or -1/(2 sigma^2) (gaussian), clamped to
+    # their sign, gaussian exponents then exponentiated; or the dot products
+    # a b^T, finished.
     dist = spec is None or spec.kind == "gaussian"
     if dist:
+        c = 1.0 if spec is None else -1.0 / (2.0 * spec.width**2)
         shift = b.mean(axis=0)
         rows = b - shift
-        nb = np.einsum("ij,ij->i", rows, rows)
-        rows *= -2.0
+        right = np.column_stack(
+            [rows, np.ones(b.shape[0]), np.einsum("ij,ij->i", rows, rows)])
     out = np.empty((a.shape[0], b.shape[0]))
     for i0 in range(0, a.shape[0], step):
-        if dist:
-            ai = a[i0:i0 + step] - shift
-            blk = ai @ rows.T
-            blk += np.einsum("ij,ij->i", ai, ai)[:, None]
-            blk += nb
+        if not dist:
+            out[i0:i0 + step] = reference_finish(spec, a[i0:i0 + step] @ b.T)
+            continue
+        ai = a[i0:i0 + step] - shift
+        left = np.column_stack(
+            [-2.0 * c * ai, c * np.einsum("ij,ij->i", ai, ai), np.full(ai.shape[0], c)])
+        blk = left @ right.T
+        if spec is None:
+            out[i0:i0 + step] = np.maximum(blk, 0.0)
         else:
-            blk = a[i0:i0 + step] @ b.T
-        out[i0:i0 + step] = reference_finish(spec, blk)
+            out[i0:i0 + step] = np.exp(np.minimum(blk, 0.0))
     return out
 
 
@@ -280,17 +288,24 @@ def test_tables_bit_equal_reference_formulas(monkeypatch, spec, offset, rows_per
     assert np.array_equal(self_table, reference_self_table(spec, b, step))
 
 
+@pytest.mark.parametrize("spec", [None, KernelSpec.gaussian(2.5)], ids=["sq_dists", "gaussian"])
 @pytest.mark.parametrize("offset", [0.0, 1e3], ids=["origin", "far"])
-def test_prepared_exponents_give_the_cross_table(offset):
+def test_prepared_raw_rows_are_scaled_distances(offset, spec):
+    # raw gives c |a - b|^2 unclamped, c = 1 for spec None and
+    # -1/(2 sigma^2) for the gaussian; the shift by the mean of b keeps it
+    # accurate far from the origin.
     rng = np.random.default_rng(24)
     a = rng.standard_normal((90, 7)) * 3.0 + offset
     b = rng.standard_normal((300, 7)) * 3.0 + offset
-    spec = KernelSpec.gaussian(2.5)
     side = kernels.PreparedRows(spec, b)
-    k = kernel_matrix(spec, a, b)
-    for _ in range(2):  # the right operand is built once, then reused
-        got = np.exp(side.exponents(a))
-        assert (np.abs(got - k) <= 1e-13 * k).all()
+    d2 = explicit_sq_dists(a, b)
+    got = side.raw(a)
+    if spec is None:
+        assert np.abs(got - d2).max() <= 1e-13 * d2.max()
+    else:
+        k = np.exp(-d2 / (2.0 * spec.width**2))
+        assert (np.abs(np.exp(got) - k) <= 1e-13 * k).all()
+        assert np.array_equal(np.exp(np.minimum(got, 0.0)), kernel_matrix(spec, a, b))
 
 
 def test_kernel_matrix_dimension_mismatch():

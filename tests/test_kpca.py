@@ -516,9 +516,9 @@ def test_kpca_preimages_step_only_unfinished_rows(monkeypatch, chunk):
     stepped = []
 
     class Spy(kernels.PreparedRows):
-        def exponents(self, a):
+        def raw(self, a):
             stepped.append(a.shape[0])
-            return super().exponents(a)
+            return super().raw(a)
 
     monkeypatch.setattr(kpca, "PreparedRows", Spy)
     monkeypatch.setattr(kpca, "block_rows", lambda n, d: chunk)
@@ -526,6 +526,28 @@ def test_kpca_preimages_step_only_unfinished_rows(monkeypatch, chunk):
     assert "diverged" in set(status)
     assert 0 not in stepped
     assert sum(stepped) == iterations.sum()
+
+
+def test_transform_and_preimages_draw_gaussian_rows_from_raw(monkeypatch):
+    # One row formula: the transform's kernel rows and every pre-image step's
+    # weights both come from PreparedRows.raw against the training rows.
+    model, y, cfg = mixed_status_batch()
+    calls = []
+    original = kernels.PreparedRows.raw
+
+    def spy(self, a):
+        calls.append((self.spec, self.rows.shape[0], a.shape[0]))
+        return original(self, a)
+
+    monkeypatch.setattr(kernels.PreparedRows, "raw", spy)
+    q = model.training[:40] + 0.1
+    kpca_transform(model, q)
+    assert calls and {c[:2] for c in calls} == {(model.spec, model.n_samples)}
+    assert sum(c[2] for c in calls) == q.shape[0]
+    calls.clear()
+    _, iterations, _ = kpca_preimages(model, y, cfg)
+    assert {c[:2] for c in calls} == {(model.spec, model.n_samples)}
+    assert sum(c[2] for c in calls) == iterations.sum()
 
 
 def test_preimage_config_validation():

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from kpca_lab.shapes import (
     parse_role_map,
     points_shape,
     read_pts,
+    read_role_map,
     render_face_svg,
     shape_points,
     sweep_kpca_feature,
@@ -304,6 +306,11 @@ def test_pts_parse_errors():
         parse_pts("version: 1\nn_points: 3\n{\n1 2\nx 4\n5 6\n}\n")
     with pytest.raises(PtsParseError, match="at least 3"):
         parse_pts("version: 1\nn_points: 2\n{\n1 2\n3 4\n}\n")
+    for cell in ("nan", "inf", "-Infinity"):
+        with pytest.raises(PtsParseError) as exc:
+            parse_pts(f"version: 1\nn_points: 3\n{{\n1 2\n3 {cell}\n5 6\n}}\n",
+                      source="face.pts")
+        assert str(exc.value) == f"face.pts: non-finite coordinate in point line '3 {cell}'"
 
 
 def test_role_map_parse_and_comments():
@@ -323,7 +330,7 @@ def test_role_map_parse_and_comments():
     assert roles == BIOID_20_ROLES
 
 
-def test_role_map_errors():
+def test_role_map_errors(tmp_path):
     with pytest.raises(RoleMapError, match="missing"):
         parse_role_map("mouth = 1,2,3,4")
     with pytest.raises(RoleMapError, match="unknown"):
@@ -334,6 +341,18 @@ def test_role_map_errors():
         parse_role_map("mouth = 1,two,3,4")
     with pytest.raises(RoleMapError):
         parse_role_map("mouth 1,2,3,4")
+    # Read from a file, every error, decoding included, names the file.
+    path = tmp_path / "roles.txt"
+    path.write_text("mouth = 1,2,3,4\nchin = 1\n")
+    with pytest.raises(RoleMapError) as exc:
+        read_role_map(path)
+    assert str(exc.value) == f"{path}: line 2: unknown group 'chin'"
+    path.write_text("mouth = 1,2,3,4\n")
+    with pytest.raises(RoleMapError, match=f"^{re.escape(str(path))}: missing role groups"):
+        read_role_map(path)
+    path.write_bytes("# r\u00f4les\n".encode("utf-8"))
+    with pytest.raises(RoleMapError, match=f"^{re.escape(str(path))}: 'ascii' codec"):
+        read_role_map(path)
 
 
 def test_render_deterministic_and_structured():
