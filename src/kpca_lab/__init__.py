@@ -17,8 +17,7 @@ from .pca import PcaModel, fit_pca, fit_pca_dual, pca_project, pca_reconstruct
 from .kpca import (
     KpcaModel,
     PreimageConfig,
-    PreimageDivergenceError,
-    PreimageResult,
+    Preimages,
     UnsupportedKernelError,
     fit_kpca,
     kpca_preimage,
@@ -55,8 +54,7 @@ __all__ = [
     "LinearClassifier",
     "PcaModel",
     "PreimageConfig",
-    "PreimageDivergenceError",
-    "PreimageResult",
+    "Preimages",
     "SpheresParams",
     "UnsupportedKernelError",
     "center_cross",

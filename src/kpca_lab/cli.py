@@ -39,7 +39,9 @@ from .shapes import (
     KPCA_SWEEP_C,
     SWEEP_COMPONENTS,
     SWEEP_STEPS,
+    RoleMapError,
     ShapeError,
+    check_roles,
     normalize_shapes,
     fit_shape_model,
     read_pts,
@@ -273,6 +275,10 @@ def cmd_asm_sweep(args) -> int:
         raise ValueError(f"{pts_files[exc.index]}: {exc}") from None
     roles = read_role_map(args.role_map) if args.role_map else BIOID_20_ROLES
     x = np.vstack(normalized)
+    try:
+        check_roles(roles, x.shape[1] // 2)
+    except RoleMapError as exc:
+        raise RoleMapError(f"{args.role_map or 'built-in BioID role map'}: {exc}") from None
     params = {"method": args.method, "feature": args.feature,
               "steps": args.steps, "m": args.m}
     if args.method == "pca":

@@ -105,6 +105,16 @@ def _as_matrix(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
+def _data_matrix(x: np.ndarray) -> np.ndarray:
+    # The checks every fit and the width heuristic make on their samples.
+    x = _as_matrix(x, "data matrix")
+    if not np.isfinite(x).all():
+        raise ValueError("data matrix contains non-finite entries")
+    if x.shape[0] < 2:
+        raise ValueError(f"need at least 2 samples, got {x.shape[0]}")
+    return x
+
+
 def _operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # C-contiguous float rows of equal dimension; a self call gets one array
     # back for both, so ``a @ b.T`` stays a self-product.  numpy would copy

@@ -25,8 +25,9 @@ of N weights: one product gives the exponents -|z - x_i|^2 / (2 sigma^2)
 gaussian kernel table use), ``exp`` runs in place, the g_i multiply them, a
 product with x gives the numerator and a product with the ones vector the
 denominator.  The kernel values are those of ``kernel_matrix(spec, z, x)``
-except that their exponents are not clamped at 0.  :func:`kpca_preimage`
-is the one-row form.
+except that their exponents are not clamped at 0.  It returns a
+:class:`Preimages` record; :func:`kpca_preimage` is its row 0, and also
+reports ``"diverged"`` as a status, not as an exception.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import sym_eig
-from .kernels import KernelSpec, PreparedRows, block_rows, gram_with_means, kernel_blocks
+from .kernels import (KernelSpec, PreparedRows, _data_matrix, block_rows, gram_with_means,
+                      kernel_blocks)
 
 # Components with raw centered-Gram eigenvalue <= DROP_RTOL * largest are
 # treated as numerically zero and dropped.
@@ -50,15 +52,6 @@ _DENOM_FLOOR = 1e-300
 
 class UnsupportedKernelError(ValueError):
     """Raised when an operation needs a kernel kind the model does not have."""
-
-
-class PreimageDivergenceError(RuntimeError):
-    """Fixed-point iteration lost all weight mass; carries the failing iterate."""
-
-    def __init__(self, message: str, iterate: np.ndarray, iteration: int):
-        super().__init__(message)
-        self.iterate = iterate
-        self.iteration = iteration
 
 
 @dataclass(frozen=True)
@@ -112,10 +105,16 @@ class PreimageConfig:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
-class PreimageResult(NamedTuple):
+class Preimages(NamedTuple):
+    """Pre-images of T feature rows: T x D ``z``, T step counts, T statuses.
+
+    A status is ``"converged"``, ``"diverged"`` or ``"max-iterations"``;
+    :func:`kpca_preimage` holds one row: a D-vector, an int and a str.
+    """
+
     z: np.ndarray
-    iterations: int
-    converged: bool
+    iterations: np.ndarray
+    status: np.ndarray
 
 
 def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
@@ -135,14 +134,8 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     Identical data points are legal: the centered Gram is then zero and the
     model simply retains no components.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"data matrix must be 2-D, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("data matrix contains non-finite entries")
+    x = _data_matrix(x)
     n = x.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
     if not 1 <= m <= n:
         raise ValueError(f"components M={m} outside [1, N] = [1, {n}]")
     k, col_means = gram_with_means(spec, x)
@@ -221,8 +214,8 @@ def preimage_weights(model: KpcaModel, y: np.ndarray) -> np.ndarray:
 
 def kpca_preimages(
     model: KpcaModel, ys: np.ndarray, cfg: PreimageConfig | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-images of the T x M feature rows ``ys``: T x D ``z``, T iterations, T statuses.
+) -> Preimages:
+    """Pre-images of the T x M feature rows ``ys`` as a :class:`Preimages` record.
 
     Every row starts at the training mean.  A row is ``"converged"`` once
     its step norm drops below ``cfg.tolerance``, ``"diverged"`` when its
@@ -284,27 +277,15 @@ def kpca_preimages(
             active, weights = active[~done], weights[~done]
             if not active.size:
                 break
-    return z, iterations, status
+    return Preimages(z, iterations, status)
 
 
 def kpca_preimage(
     model: KpcaModel, y: np.ndarray, cfg: PreimageConfig | None = None
-) -> PreimageResult:
-    """Pre-image of the feature vector ``y``: the one-row :func:`kpca_preimages`.
-
-    Raises :class:`PreimageDivergenceError` where that reports ``"diverged"``.
-    """
-    z, iterations, status = kpca_preimages(
-        model, np.asarray(y, dtype=float).reshape(1, -1), cfg)
-    if status[0] == "diverged":
-        raise PreimageDivergenceError(
-            f"pre-image iteration {iterations[0]} diverged: weight mass lost "
-            f"at iterate {z[0].tolist()}",
-            iterate=z[0],
-            iteration=int(iterations[0]),
-        )
-    return PreimageResult(z=z[0], iterations=int(iterations[0]),
-                          converged=status[0] == "converged")
+) -> Preimages:
+    """Pre-image of the feature vector ``y``: row 0 of :func:`kpca_preimages`."""
+    z, iterations, status = kpca_preimages(model, np.reshape(y, (1, -1)), cfg)
+    return Preimages(z[0], int(iterations[0]), str(status[0]))
 
 
 def select_sigma(x: np.ndarray) -> float:
@@ -318,15 +299,8 @@ def select_sigma(x: np.ndarray) -> float:
     x_i - x_j, so it carries no cancellation error and a duplicate's is
     exactly 0.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"data matrix must be 2-D, got shape {x.shape}")
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 rows, got {n}")
-    if not np.isfinite(x).all():
-        raise ValueError("data matrix contains non-finite entries")
-    nearest = np.empty(n, dtype=np.intp)
+    x = _data_matrix(x)
+    nearest = np.empty(x.shape[0], dtype=np.intp)
     for i0, i1, d2 in PreparedRows(None, x).blocks(x):
         rows = np.arange(i0, i1)
         d2[rows - i0, rows] = np.inf

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import sym_eig
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelSpec, _data_matrix, kernel_matrix
 
 # Relative cutoff below which a dual-Gram eigenvalue counts as zero rank.
 _RANK_RTOL = 1e-12
@@ -35,14 +35,8 @@ class PcaModel:
 
 
 def _validate_fit_args(x: np.ndarray, m: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"data matrix must be 2-D, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("data matrix contains non-finite entries")
+    x = _data_matrix(x)
     n, d = x.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
     if not 1 <= m <= min(n, d):
         raise ValueError(f"components M={m} outside [1, min(N, D)] = [1, {min(n, d)}]")
     return x

@@ -245,7 +245,8 @@ def _poly(pts: np.ndarray, close: bool) -> str:
     return f'  <{tag} points="{coords}" {_STROKE} />'
 
 
-def _check_roles(roles: LandmarkRoleMap, n: int) -> None:
+def check_roles(roles: LandmarkRoleMap, n: int) -> None:
+    """Raise :class:`RoleMapError` unless ``roles`` can draw a shape of ``n`` points."""
     for name in _ROLE_NAMES:
         group = getattr(roles, name)
         if len(group) == 0:
@@ -270,7 +271,7 @@ def render_face_svg(shape: np.ndarray, roles: LandmarkRoleMap) -> str:
     parabola sampled as a smooth polyline through the contour x-range.
     """
     pts = shape_points(shape)
-    _check_roles(roles, pts.shape[0])
+    check_roles(roles, pts.shape[0])
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS:.0f}" '

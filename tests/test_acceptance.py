@@ -125,7 +125,7 @@ def test_criterion_4_preimage_round_trip_on_training_set():
     worst_residual = 0.0
     for i in range(x.shape[0]):
         result = kpca_preimage(model, y[i], cfg)
-        if result.converged:
+        if result.status == "converged":
             # one more application of the update map measures how far the
             # returned point is from being a true fixed point
             gamma = preimage_weights(model, y[i])

@@ -346,6 +346,29 @@ def test_asm_sweep_role_map_file(tmp_path):
 
 
 @pytest.mark.parametrize("method", ["pca", "kpca"])
+def test_asm_sweep_role_map_out_of_range_fails_before_fit(tmp_path, capsys,
+                                                          monkeypatch, method):
+    roles = tmp_path / "roles.txt"
+    roles.write_text("\n".join([
+        "right_eyebrow = 4,5", "left_eyebrow = 6,7", "right_eye = 9,10",
+        "left_eye = 11,12", "eyeballs = 0,1", "nose = 15,14,16",
+        "mouth = 2,17,3,25", "contour = 8,19,13",
+    ]) + "\n")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit ran before the role map was checked")
+
+    for name in ("fit_shape_model", "fit_kpca", "select_sigma"):
+        monkeypatch.setattr(f"kpca_lab.cli.{name}", no_fit)
+    out = tmp_path / "sweep"
+    assert main(["asm-sweep", "--pts-dir", CORPUS_DIR, "--method", method,
+                 "--role-map", str(roles), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {roles}: role group 'mouth' index 25 outside [0, 20)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["pca", "kpca"])
 @pytest.mark.parametrize("cell", ["nan", "-inf"])
 def test_asm_sweep_non_finite_pts_names_the_file(tmp_path, capsys, method, cell):
     corpus = tmp_path / "corpus"
