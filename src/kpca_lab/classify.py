@@ -17,18 +17,29 @@ class LinearClassifier:
     weights: np.ndarray
 
 
-def fit_linear(features: np.ndarray, labels: np.ndarray) -> LinearClassifier:
-    """Least-squares fit of [features, 1] . w ~ labels over +/-1 labels."""
-    x = np.asarray(features, dtype=float)
+def _finite_rows(x: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"feature row {bad[0]} has non-finite entries")
+
+
+def _signs(labels: np.ndarray) -> np.ndarray:
     t = np.asarray(labels, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isin(t, (-1.0, 1.0)))
+    if bad.size:
+        raise ValueError(f"labels must be +1 or -1, label {bad[0]} is {t[bad[0]]}")
+    return t
+
+
+def fit_linear(features: np.ndarray, labels: np.ndarray) -> LinearClassifier:
+    """Least-squares fit of [features, 1] . w ~ labels over finite rows and +/-1 labels."""
+    x = np.asarray(features, dtype=float)
+    t = _signs(labels)
     if x.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {x.shape}")
     if x.shape[0] != t.shape[0]:
         raise ValueError(f"{x.shape[0]} rows vs {t.shape[0]} labels")
-    if x.shape[0] < 2:
-        raise ValueError("need at least 2 samples")
-    if not np.all(np.isin(t, (-1.0, 1.0))):
-        raise ValueError("labels must be +1 or -1")
+    _finite_rows(x)
     if np.unique(t).size < 2:
         raise ValueError("both classes must be present")
     a = np.hstack([x, np.ones((x.shape[0], 1))])
@@ -43,19 +54,20 @@ def predict(clf: LinearClassifier, x: np.ndarray) -> int:
 
 
 def predict_many(clf: LinearClassifier, x: np.ndarray) -> np.ndarray:
-    """Labels for the rows of a feature matrix; a score of exactly zero maps to +1."""
+    """Labels for the finite rows of a feature matrix; a score of exactly zero maps to +1."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != clf.weights.shape[0] - 1:
         raise ValueError(
             f"expected a T x {clf.weights.shape[0] - 1} matrix, got {x.shape}"
         )
+    _finite_rows(x)
     scores = x @ clf.weights[:-1] + clf.weights[-1]
     return np.where(scores >= 0.0, 1, -1)
 
 
 def error_rate(clf: LinearClassifier, features: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose predicted label differs from the given one."""
-    t = np.asarray(labels).ravel()
+    """Fraction of rows whose predicted label differs from the given +/-1 one."""
+    t = _signs(labels)
     pred = predict_many(clf, features)
     if t.shape[0] != pred.shape[0]:
         raise ValueError(f"{pred.shape[0]} rows vs {t.shape[0]} labels")

@@ -35,6 +35,7 @@ from .kpca import (
 from .model_io import load_model, save_model
 from .pca import fit_pca, fit_pca_dual, pca_project
 from .shapes import (
+    _CANVAS,
     BIOID_20_ROLES,
     KPCA_SWEEP_C,
     SWEEP_COMPONENTS,
@@ -47,12 +48,13 @@ from .shapes import (
     read_pts,
     read_role_map,
     render_face_svg,
+    svg_frame,
     sweep_kpca_feature,
     sweep_pca_feature,
 )
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-_SIZE, _MARGIN = 400.0, 24.0  # scatter.svg canvas side and border, in pixels
+_MARGIN = 24.0  # scatter.svg border, in pixels
 
 
 def _write_manifest(out_dir: Path, subcommand: str, parameters: dict,
@@ -91,22 +93,23 @@ def scatter_svg(points: np.ndarray, labels: np.ndarray | None = None) -> str:
     lo = xy.min(axis=0)
     hi = xy.max(axis=0)
     span = np.where(hi - lo > 0.0, hi - lo, 1.0)
-    scale = (_SIZE - 2.0 * _MARGIN) / span
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '
-        f'height="{_SIZE:.0f}" viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">',
-        f'  <rect width="{_SIZE:.0f}" height="{_SIZE:.0f}" fill="white" />',
-    ]
+    scale = (_CANVAS - 2.0 * _MARGIN) / span
+    parts = []
     for (x, y), color in zip(xy, colors):
         cx = _MARGIN + (x - lo[0]) * scale[0]
-        cy = _SIZE - _MARGIN - (y - lo[1]) * scale[1]  # y grows upward in plots
+        cy = _CANVAS - _MARGIN - (y - lo[1]) * scale[1]  # y grows upward in plots
         parts.append(
             f'  <circle cx="{cx:.2f}" cy="{cy:.2f}" r="2.5" fill="{color}" '
             f'fill-opacity="0.7" />'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return svg_frame(parts)
+
+
+def _integral_labels(values: np.ndarray, path: str) -> np.ndarray:
+    bad = np.flatnonzero(~(np.isfinite(values) & (np.trunc(values) == values)))
+    if bad.size:
+        raise ValueError(f"{path}: label row {bad[0]} is {values[bad[0]]}, not an integer")
+    return values.astype(int)
 
 
 def _load_features_labels(features_path: str, labels_path: str | None,
@@ -118,10 +121,10 @@ def _load_features_labels(features_path: str, labels_path: str | None,
         col = labels_col if labels_col >= 0 else cols + labels_col
         if not 0 <= col < cols:
             raise ValueError(f"--labels-col {labels_col} outside matrix with {cols} columns")
-        labels = x[:, col].astype(int)
+        labels = _integral_labels(x[:, col], features_path)
         x = np.delete(x, col, axis=1)
     elif labels_path is not None:
-        labels = read_csv_matrix(labels_path).ravel().astype(int)
+        labels = _integral_labels(read_csv_matrix(labels_path).ravel(), labels_path)
         if labels.shape[0] != x.shape[0]:
             raise ValueError(
                 f"{labels.shape[0]} labels for {x.shape[0]} feature rows"
@@ -170,7 +173,6 @@ def _resolve_kernel(args, x: np.ndarray) -> tuple[KernelSpec, dict]:
 
 def cmd_embed(args) -> int:
     x, labels = _load_features_labels(args.input, args.labels, args.labels_col)
-    out = _prepare_out(args.out)
     if args.method == "pca":
         n, d = x.shape
         model = fit_pca_dual(x, args.components) if d > n \
@@ -184,6 +186,7 @@ def cmd_embed(args) -> int:
             print(f"note: retained {model.n_components} of {args.components} "
                   f"components (rest numerically zero)")
         transformed = kpca_transform(model, x)
+    out = _prepare_out(args.out)
     features_path = out / "features.csv"
     write_csv_matrix(transformed, features_path)
     outputs = [features_path]

@@ -17,8 +17,8 @@ separate passes over the whole table.  :func:`kernel_blocks` yields the
 finished rows of a cross table one block at a time, so a caller that
 contracts each block never holds the table.
 
-Self tables (``kernel_matrix(spec, x, x)``, ``sq_dists(x, x)``) are exactly
-symmetric because each is built from one self-product of the prepared rows:
+Self tables, all built by :func:`gram_with_means`, are exactly symmetric
+because each is built from one self-product of the prepared rows:
 BLAS computes one triangle of it and numpy mirrors that triangle, and
 numpy's loop without BLAS sums entry (i, j) in the same order as (j, i).
 Every later step is elementwise or adds symmetric terms, so no triangle is
@@ -43,10 +43,10 @@ class KernelSpec:
     """Tagged choice of kernel: linear, polynomial (x.y + c)^d, or gaussian.
 
     Every construction validates the parameters that matter for its kind
-    (integral degree >= 1, finite offset >= 0, finite width > 0), stores
-    the degree as an int, and resets the fields its kind does not read to
-    their defaults, so a spec equals its classmethod form and every field
-    fits the model container's header.
+    (integral degree in [1, 2^32 - 1], finite offset >= 0, finite width
+    > 0), stores the degree as an int, and resets the fields its kind does
+    not read to their defaults, so a spec equals its classmethod form and
+    every field fits the model container's header.
     """
 
     kind: str
@@ -74,6 +74,8 @@ class KernelSpec:
                 raise ValueError(f"polynomial degree must be >= 1, got {self.degree}")
             if self.degree % 1:
                 raise ValueError(f"polynomial degree must be integral, got {self.degree}")
+            if self.degree > 2**32 - 1:
+                raise ValueError(f"polynomial degree must be <= 2^32 - 1, got {self.degree}")
             if not 0.0 <= self.offset < np.inf:
                 raise ValueError(
                     f"polynomial offset must be finite and >= 0, got {self.offset}")
@@ -156,7 +158,7 @@ class PreparedRows:
     For dot products ``rows`` is ``b`` itself.
 
     :func:`kernel_blocks`, and through it every cross table, prepares ``b``
-    once per call; :func:`_self_table` takes the self-product of ``rows``;
+    once per call; :func:`gram_with_means` takes the self-product of ``rows``;
     the pre-image fixed point prepares the training rows once per batch and
     calls :meth:`raw` at every step.
     """
@@ -223,36 +225,6 @@ class PreparedRows:
             yield i0, i1, self.raw(a[i0:i1])
 
 
-def _self_table(spec: KernelSpec | None, x: np.ndarray,
-                row_means: np.ndarray | None = None) -> np.ndarray:
-    """Self table of the rows ``x``: squared distances (``spec`` None) or kernel.
-
-    The self-product G of the rows of ``PreparedRows(spec, x)`` is the only
-    N x N array.  Each block of :func:`block_rows` rows is then finished in
-    place while it is in cache: distances as -2 G_ij + (|x_i|^2 + |x_j|^2),
-    a sum of symmetric terms, with their part of the diagonal set to 0 and
-    scaled by the c of :meth:`PreparedRows.raw`, then
-    :meth:`PreparedRows.finish`, which keeps a zero distance exactly 0 and
-    makes it exactly 1 for the gaussian kernel.  The table is exactly
-    symmetric.  Given ``row_means``, each finished block's row means are
-    written into it there, so the table is not read again for them.
-    """
-    side = PreparedRows(spec, x)
-    out = side.rows @ side.rows.T
-    step = block_rows(*x.shape)
-    for i0 in range(0, x.shape[0], step):
-        blk = out[i0:i0 + step]
-        if side.dist:
-            blk *= -2.0
-            blk += np.add.outer(side.norms[i0:i0 + step], side.norms)
-            np.fill_diagonal(blk[:, i0:], 0.0)
-            blk *= side._scale
-        side.finish(blk)
-        if row_means is not None:
-            blk.mean(axis=1, out=row_means[i0:i0 + step])
-    return out
-
-
 def kernel_blocks(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
     """Yield ``(i0, i1, k)``: finished kernel rows k = kernel(a[i0:i1], b).
 
@@ -275,7 +247,7 @@ def _table(spec: KernelSpec | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # The one self/cross dispatch behind kernel_matrix and sq_dists.
     a, b = _operands(a, b)
     if a is b:
-        return _self_table(spec, a)
+        return gram_with_means(spec, a)[0]
     out = np.empty((a.shape[0], b.shape[0]))
     for i0, i1, k in kernel_blocks(spec, a, b):
         out[i0:i1] = k
@@ -300,25 +272,39 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The table is the only N x M array allocated; it is finished in row
     blocks while they are in cache.  When ``a`` and ``b`` are the same
     object the result is exactly symmetric: it is finished from numpy's
-    self-product (see :func:`_self_table`), and a gaussian diagonal is
+    self-product (see :func:`gram_with_means`), and a gaussian diagonal is
     exactly 1.  Otherwise each finished block of :func:`kernel_blocks` is
     copied into its slice of the table.
     """
     return _table(spec, a, b)
 
 
-def gram_with_means(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The self table ``kernel_matrix(spec, x, x)`` and its N row means.
+def gram_with_means(spec: KernelSpec | None, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Self table of the rows ``x`` (squared distances for ``spec`` None) and its row means.
 
-    The table is symmetric, so its row means are its column means, all that
-    :class:`kpca.KpcaModel` keeps of a training Gram.  Each block's means
-    are taken in the loop that finishes it, while it is in cache.  Fitting
-    and model loading both take them from here, so a loaded model's means
-    are bit-identical to the fitted one's.
+    The self-product G of the rows of ``PreparedRows(spec, x)`` is the only
+    N x N array.  Each block of :func:`block_rows` rows is finished in place
+    while it is in cache, and its row means are taken there: distances as
+    -2 G_ij + (|x_i|^2 + |x_j|^2) with a zero diagonal, scaled by the c of
+    :meth:`PreparedRows.raw`, then :meth:`PreparedRows.finish`, which makes
+    a zero gaussian exponent exactly 1.  The table is exactly symmetric, so
+    its row means are its column means, all that a fitted model keeps of it.
     """
     x = np.ascontiguousarray(_as_matrix(x, "x"))
+    side = PreparedRows(spec, x)
+    out = side.rows @ side.rows.T
     means = np.empty(x.shape[0])
-    return _self_table(spec, x, means), means
+    step = block_rows(*x.shape)
+    for i0 in range(0, x.shape[0], step):
+        blk = out[i0:i0 + step]
+        if side.dist:
+            blk *= -2.0
+            blk += np.add.outer(side.norms[i0:i0 + step], side.norms)
+            np.fill_diagonal(blk[:, i0:], 0.0)
+            blk *= side._scale
+        side.finish(blk)
+        blk.mean(axis=1, out=means[i0:i0 + step])
+    return out, means
 
 
 def center_gram(k: np.ndarray) -> np.ndarray:

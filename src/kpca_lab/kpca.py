@@ -121,12 +121,12 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     """Fit kernel PCA with up to ``m`` components.
 
     Steps: build the kernel matrix and its column means
-    (:func:`kernels.gram_with_means`, as model loading does), center it in
-    place in one pass of row blocks (the operations of
-    :func:`kernels.center_gram` in its order, so the result is
-    bit-identical, but with no second N x N array), solve for its top ``m``
-    eigenpairs only, keep those with positive raw eigenvalue, and rescale
-    each eigenvector alpha_k (unit norm from the solver) to
+    (:func:`kernels.gram_with_means`), center it in place in one pass of
+    row blocks (the operations of :func:`kernels.center_gram` in its order,
+    so the result is bit-identical, but with no second N x N array), solve
+    for its top ``m`` eigenpairs only, keep the leading ones with raw
+    eigenvalue above the cutoff, and rescale each eigenvector alpha_k (unit
+    norm from the solver) to
     a_k = alpha_k / sqrt(raw_k) so that lambda_k * N * |a_k|^2 = 1.  The
     coefficients are stored C-contiguous, the layout a loaded model has, so
     both transform bit-identically.
@@ -149,10 +149,9 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     dec = sym_eig(k, m)
     raw = dec.values
     cutoff = DROP_RTOL * max(raw[0], 0.0)
-    keep = [i for i in range(m) if raw[i] > cutoff and raw[i] > 0.0]
-    coeffs = np.ascontiguousarray(dec.vectors[:, keep] / np.sqrt(raw[keep])) if keep \
-        else np.zeros((n, 0))
-    values = raw[keep] / n if keep else np.zeros(0)
+    r = int(np.count_nonzero(raw[:m] > cutoff))
+    coeffs = np.ascontiguousarray(dec.vectors[:, :r] / np.sqrt(raw[:r]))
+    values = raw[:r] / n
     return KpcaModel(
         training=x.copy(),
         spec=spec,

@@ -4,7 +4,7 @@ Layout (all integers and reals little-endian):
 
     offset  size  field
     0       4     magic b"KPML"
-    4       2     container version (uint16, currently 2; 1 is read too)
+    4       2     container version (uint16, 2)
     6       1     model kind: 1 = pca, 2 = kpca
     7       1     kernel kind: 0 = none, 1 = linear, 2 = polynomial, 3 = gaussian
     8       4     kernel degree (uint32)
@@ -14,18 +14,15 @@ Layout (all integers and reals little-endian):
     40      ...   payload, row-major float64 blocks:
                   pca  -> mean (D), basis (D*M), eigenvalues (M)
                   kpca -> training (N*D), coefficients (N*M), eigenvalues (M),
-                          then in version 2 the training Gram's column means (N)
+                          training Gram's column means (N)
 
 A kpca header holds the three fields of the model's :class:`KernelSpec`,
 where those its kind does not read are at their defaults; a pca header
 writes zeros there.  Loading builds the spec from all three fields, so it
 resets a field the kind does not read to its default whatever the header
-holds.  Version 2 stores the kernel-PCA training Gram's column means, so
-loading builds no Gram.  A version 1 container has no means; loading
-rebuilds the Gram and its means with :func:`kernels.gram_with_means`, as
-fitting does, then drops the Gram, so both versions of one fit load
-bit-identical models.  Saving writes version 2, and a pca payload is the
-same in both versions.
+holds.  A kpca payload ends with the training Gram's column means, so
+loading only parses the file; a file from before version 2 has none and
+must be refit (``embed --save-model``).
 
 Loading rejects, with :class:`ModelFormatError` naming the file, any
 container that does not match this layout exactly: a short header or
@@ -42,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import KernelSpec, gram_with_means
+from .kernels import KernelSpec
 from .kpca import KpcaModel
 from .pca import PcaModel
 
@@ -115,7 +112,7 @@ def _parse_model(buf: bytes) -> PcaModel | KpcaModel:
         _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise ModelFormatError(f"bad magic {magic!r}")
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise ModelFormatError(f"unsupported container version {version}")
     pos = _HEADER.size
     if kind == 1:
@@ -139,10 +136,7 @@ def _parse_model(buf: bytes) -> PcaModel | KpcaModel:
         training, pos = _take(buf, pos, (n, d), "training")
         coeffs, pos = _take(buf, pos, (n, m), "coefficient")
         values, pos = _take(buf, pos, (m,), "eigenvalue")
-        if version == 1:
-            means = gram_with_means(spec, training)[1]
-        else:
-            means, pos = _take(buf, pos, (n,), "column mean")
+        means, pos = _take(buf, pos, (n,), "column mean")
         _end(buf, pos)
         return KpcaModel(
             training=training,

@@ -80,7 +80,7 @@ def fit_pca_dual(x: np.ndarray, m: int) -> PcaModel:
     values = np.zeros(m)
     degenerate = []
     for k in range(m):
-        if raw[k] > cutoff and raw[k] > 0.0:
+        if raw[k] > cutoff:
             u = xc.T @ dec.vectors[:, k]
             u /= np.linalg.norm(u)
             lead = np.argmax(np.abs(u))

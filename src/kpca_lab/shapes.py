@@ -235,6 +235,17 @@ _EYEBALL_RADIUS = 0.015  # in normalized shape coordinates
 _CONTOUR_SAMPLES = 41
 
 
+def svg_frame(body: list[str]) -> str:
+    """The lines ``body`` in a white SVG document, ``_CANVAS`` pixels square."""
+    side = f"{_CANVAS:.0f}"
+    return "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" '
+        f'height="{side}" viewBox="0 0 {side} {side}">',
+        f'  <rect width="{side}" height="{side}" fill="white" />',
+        *body, "</svg>"]) + "\n"
+
+
 def _cv(v: float) -> str:
     return f"{v * _CANVAS:.2f}"
 
@@ -272,12 +283,7 @@ def render_face_svg(shape: np.ndarray, roles: LandmarkRoleMap) -> str:
     """
     pts = shape_points(shape)
     check_roles(roles, pts.shape[0])
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS:.0f}" '
-        f'height="{_CANVAS:.0f}" viewBox="0 0 {_CANVAS:.0f} {_CANVAS:.0f}">',
-        f'  <rect width="{_CANVAS:.0f}" height="{_CANVAS:.0f}" fill="white" />',
-    ]
+    parts = []
     for name in ("right_eyebrow", "left_eyebrow", "right_eye", "left_eye", "nose"):
         parts.append(_poly(pts[list(getattr(roles, name))], close=False))
     for idx in roles.eyeballs:
@@ -291,8 +297,7 @@ def render_face_svg(shape: np.ndarray, roles: LandmarkRoleMap) -> str:
     xs = np.linspace(contour[:, 0].min(), contour[:, 0].max(), _CONTOUR_SAMPLES)
     curve = np.column_stack([xs, a * xs**2 + b * xs + c])
     parts.append(_poly(curve, close=False))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return svg_frame(parts)
 
 
 def parse_pts(text: str, source: str = "<string>") -> np.ndarray:

@@ -100,6 +100,30 @@ def test_non_binary_labels_rejected():
         fit_linear(x, np.array([0, 1]))
 
 
+def test_non_binary_labels_are_named():
+    x = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError, match=r"^labels must be \+1 or -1, label 2 is 1\.5$"):
+        fit_linear(x, np.array([1.0, -1.0, 1.5]))
+    clf = fit_linear(x, np.array([1, -1, 1]))
+    # 0/1 labels are scored against +/-1 predictions as errors, not compared.
+    with pytest.raises(ValueError, match=r"^labels must be \+1 or -1, label 1 is 0\.0$"):
+        error_rate(clf, x, np.array([1, 0, 1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_feature_rows_are_named(bad):
+    # solve() used to return NaN weights, and every prediction became -1.
+    x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, bad], [3.0, 1.0]])
+    labels = np.array([1, -1, 1, -1])
+    with pytest.raises(ValueError, match="^feature row 2 has non-finite entries$"):
+        fit_linear(x, labels)
+    clf = fit_linear(x[[0, 1, 3]], labels[[0, 1, 3]])
+    with pytest.raises(ValueError, match="^feature row 2 has non-finite entries$"):
+        predict_many(clf, x)
+    with pytest.raises(ValueError, match="^feature row 2 has non-finite entries$"):
+        error_rate(clf, x, labels)
+
+
 def test_predict_dimension_mismatch():
     clf = LinearClassifier(weights=np.array([1.0, -1.0, 0.0]))
     with pytest.raises(ValueError):

@@ -192,6 +192,51 @@ def test_classify_requires_labels(tmp_path, capsys):
     assert "labels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("train, train_labels, test_labels, message", [
+    ("0,1\n1,0\nnan,1\n3,0\n", "1\n-1\n1\n-1\n", None,
+     "feature row 2 has non-finite entries"),
+    ("0,1\n1,0\n2,1\n3,0\n", "1\n-1\n1.5\n-1\n", None,
+     "{train_labels}: label row 2 is 1.5, not an integer"),
+    ("0,1\n1,0\n2,1\n3,0\n", "1\n-1\nnan\n-1\n", None,
+     "{train_labels}: label row 2 is nan, not an integer"),
+    ("0,1\n1,0\n2,1\n3,0\n", "1\n-1\n1\n-1\n", "1\n0\n1\n0\n",
+     "labels must be +1 or -1, label 1 is 0.0"),
+], ids=["nan-feature", "fractional-label", "nan-label", "zero-one-test-labels"])
+def test_classify_rejects_what_it_cannot_score(tmp_path, capsys, train, train_labels,
+                                               test_labels, message):
+    # Each used to exit 0 with a garbage error rate: NaN weights, a label
+    # truncated to an int, or 0/1 labels compared with +/-1 predictions.
+    paths = {}
+    for name, text in (("train", train), ("train_labels", train_labels),
+                       ("test_labels", test_labels)):
+        if text is not None:
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text)
+    argv = ["classify", "--train-features", str(paths["train"]),
+            "--train-labels", str(paths["train_labels"]), "--out", str(tmp_path / "clf")]
+    if test_labels is not None:
+        argv += ["--test-features", str(paths["train"]),
+                 "--test-labels", str(paths["test_labels"])]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert not (tmp_path / "clf").exists()
+
+
+def test_embed_rejects_degree_beyond_the_container(tmp_path, capsys):
+    # The fit kept 0 components, features.csv was written, and save_model
+    # then raised struct.error, which the CLI does not catch.
+    features = tmp_path / "features.csv"
+    features.write_text("0.1,0.2\n0.3,0.1\n0.2,0.4\n0.05,0.3\n")
+    out, model_path = tmp_path / "out", tmp_path / "m.kpml"
+    assert main(["embed", "--method", "kpca", "--kernel", "poly",
+                 "--degree", "4294967296", "--components", "1",
+                 "--input", str(features), "--save-model", str(model_path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: polynomial degree must be <= 2^32 - 1, got 4294967296\n"
+    assert not out.exists() and not model_path.exists()
+
+
 def test_preimage_round_trip(tmp_path):
     data = gen_spheres(tmp_path, n=40, seed=13)
     embed_out = tmp_path / "embed"

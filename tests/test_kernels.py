@@ -47,6 +47,10 @@ def test_spec_constructors_validate():
     for degree in (2.5, np.inf):
         with pytest.raises(ValueError, match="degree must be integral"):
             KernelSpec("polynomial", degree=degree)
+    # The degree is a uint32 in the model container's header.
+    with pytest.raises(ValueError, match=r"degree must be <= 2\^32 - 1, got 4294967296$"):
+        KernelSpec.polynomial(2**32)
+    assert KernelSpec.polynomial(2**32 - 1).degree == 4294967295
     spec = KernelSpec.polynomial(3.0, 1)
     assert spec == KernelSpec.polynomial(3, 1.0) and type(spec.degree) is int
 

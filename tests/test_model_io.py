@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from kpca_lab import kernels
 from kpca_lab.kernels import KernelSpec
 from kpca_lab.kpca import fit_kpca, kpca_transform
 from kpca_lab.model_io import _HEADER, MAGIC, VERSION, ModelFormatError, load_model, save_model
@@ -70,15 +73,18 @@ def test_rejects_truncated(tmp_path):
     assert str(info.value) == f"{path}: file shorter than header"
 
 
-def test_rejects_unknown_version(tmp_path):
+@pytest.mark.parametrize("version", [1, 0xFF])
+def test_rejects_unknown_version(tmp_path, version):
+    # Version 1 stored no Gram column means; such a file must be refit.
     model = fit_pca(np.eye(3), 2)
     path = tmp_path / "m.kpml"
     save_model(model, path)
     blob = bytearray(path.read_bytes())
-    blob[4] = 0xFF  # corrupt the version field
+    blob[4] = version  # corrupt the version field
     path.write_bytes(bytes(blob))
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError) as info:
         load_model(path)
+    assert str(info.value) == f"{path}: unsupported container version {version}"
 
 
 def test_rejects_wrong_object():
@@ -87,14 +93,15 @@ def test_rejects_wrong_object():
 
 
 def write_kpca(path, n, d, m, training=None, coefficients=None, eigenvalues=None):
-    """A version 1 gaussian kpca container with the given header dimensions and payload.
+    """A gaussian kpca container with the given header dimensions and payload.
 
-    Version 1 stores no column means, so loading rebuilds them from the training rows.
+    The N column means are all ones.
     """
-    header = _HEADER.pack(MAGIC, 1, 2, 3, 0, 0.0, 1.5, n, d, m)
+    header = _HEADER.pack(MAGIC, VERSION, 2, 3, 0, 0.0, 1.5, n, d, m)
     blocks = (np.ones(n * d) if training is None else training,
               np.ones(n * m) if coefficients is None else coefficients,
-              np.ones(m) if eigenvalues is None else eigenvalues)
+              np.ones(m) if eigenvalues is None else eigenvalues,
+              np.ones(n))
     path.write_bytes(header + b"".join(np.asarray(b, dtype="<f8").tobytes()
                                        for b in blocks))
 
@@ -184,29 +191,31 @@ def test_header_fields_the_kind_does_not_read_are_reset(tmp_path):
     assert load_model(path).spec == KernelSpec.gaussian(1.5)
 
 
-def as_version_1(blob, n):
-    # The version 2 container of a kpca fit, minus its N column means.
-    return blob[:4] + (1).to_bytes(2, "little") + blob[6:len(blob) - 8 * n]
-
-
-@pytest.mark.parametrize("spec", [KernelSpec.polynomial(2, 1.0), KernelSpec.gaussian(1.5)],
-                         ids=lambda s: s.kind)
-def test_version_1_and_2_load_bit_identical(tmp_path, spec):
-    rng = np.random.default_rng(63)
-    x = rng.standard_normal((40, 3))
-    model = fit_kpca(x, spec, 3)
+def test_container_layout_is_pinned_and_loading_builds_no_kernel_table(tmp_path, monkeypatch):
+    # The documented layout, written out here rather than taken from model_io:
+    # magic, version (uint16), model kind (uint8: 2 = kpca), kernel kind
+    # (uint8: 3 = gaussian), degree (uint32), offset, width (float64),
+    # N, D, M (uint32); then training, coefficients, eigenvalues and the
+    # training Gram's column means as little-endian float64.
+    x = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5], [-1.0, 0.0]])
+    model = fit_kpca(x, KernelSpec.gaussian(1.5), 2)
+    assert model.n_components == 2
+    header = struct.pack("<4sHBBIddIII", b"KPML", 2, 2, 3, 1, 0.0, 1.5, 4, 2, 2)
+    assert len(header) == 40
+    payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in (
+        x, model.coefficients, model.eigenvalues, model.train_col_means))
     path = tmp_path / "m.kpml"
     save_model(model, path)
-    blob = path.read_bytes()
-    assert _HEADER.unpack_from(blob)[1] == VERSION == 2
-    v1 = tmp_path / "v1.kpml"
-    v1.write_bytes(as_version_1(blob, 40))
-    loaded_v1, loaded_v2 = load_model(v1), load_model(path)
-    q = rng.standard_normal((25, 3))
-    assert np.array_equal(loaded_v2.train_col_means, model.train_col_means)
-    assert np.array_equal(loaded_v1.train_col_means, loaded_v2.train_col_means)
-    assert np.array_equal(kpca_transform(loaded_v1, q), kpca_transform(loaded_v2, q))
-    assert np.array_equal(kpca_transform(loaded_v2, q), kpca_transform(model, q))
+    assert path.read_bytes() == header + payload
+
+    def no_kernel_table(*args, **kwargs):
+        raise AssertionError("loading computed a kernel table")
+
+    monkeypatch.setattr(kernels, "PreparedRows", no_kernel_table)
+    loaded = load_model(path)
+    assert loaded.spec == model.spec
+    for name in ("training", "coefficients", "eigenvalues", "train_col_means"):
+        assert np.array_equal(getattr(loaded, name), getattr(model, name))
 
 
 def test_version_2_payload_one_mean_short_is_rejected(tmp_path):
