@@ -17,10 +17,10 @@ class LinearClassifier:
     weights: np.ndarray
 
 
-def _finite_rows(x: np.ndarray) -> None:
+def _finite_rows(x: np.ndarray, where: str = "") -> None:
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
-        raise ValueError(f"feature row {bad[0]} has non-finite entries")
+        raise ValueError(f"{where}feature row {bad[0]} has non-finite entries")
 
 
 def _signs(labels: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classify import error_rate, fit_linear
+from .classify import _finite_rows, error_rate, fit_linear
 from .data import (
     SpheresParams,
     gen_two_spheres,
@@ -126,9 +126,8 @@ def _load_features_labels(features_path: str, labels_path: str | None,
     elif labels_path is not None:
         labels = _integral_labels(read_csv_matrix(labels_path).ravel(), labels_path)
         if labels.shape[0] != x.shape[0]:
-            raise ValueError(
-                f"{labels.shape[0]} labels for {x.shape[0]} feature rows"
-            )
+            raise ValueError(f"{labels_path}: {labels.shape[0]} labels for the "
+                             f"{x.shape[0]} rows of {features_path}")
     return x, labels
 
 
@@ -213,6 +212,7 @@ def cmd_embed(args) -> int:
 def cmd_classify(args) -> int:
     x_train, y_train = _load_features_labels(args.train_features,
                                              args.train_labels, args.labels_col)
+    _finite_rows(x_train, f"{args.train_features}: ")
     if y_train is None:
         raise ValueError("training labels required (--train-labels or --labels-col)")
     clf = fit_linear(x_train, y_train)
@@ -221,6 +221,7 @@ def cmd_classify(args) -> int:
     if args.test_features:
         x_test, y_test = _load_features_labels(args.test_features,
                                                args.test_labels, args.labels_col)
+        _finite_rows(x_test, f"{args.test_features}: ")
         if y_test is None:
             raise ValueError("test labels required with --test-features")
         report["test_error"] = error_rate(clf, x_test, y_test)

@@ -1,9 +1,11 @@
 """Deterministic symmetric eigendecomposition.
 
 Every numerical module in the toolkit funnels its eigenproblems through
-:func:`sym_eig` so that ordering and sign conventions are fixed in exactly
+this module so that ordering and sign conventions are fixed in exactly
 one place: eigenvalues descending with stable tie-breaking, and each
-eigenvector's entry of largest magnitude non-negative.
+eigenvector's entry of largest magnitude non-negative.  ``sym_eig`` checks
+that its input is square, finite and symmetric; ``kpca.fit_kpca`` solves
+its own exactly symmetric centred Gram by the unchecked :func:`_solve`.
 
 ``sym_eig(a)`` delegates the full decomposition to LAPACK via
 ``numpy.linalg.eigh``.  ``sym_eig(a, m)`` returns only the top ``m`` pairs,
@@ -172,17 +174,20 @@ def sym_eig(a: np.ndarray, m: int | None = None) -> EigenDecomposition:
     docstring).  Repeated calls give byte-identical results.
 
     Raises ``ValueError`` for non-square, non-finite, or asymmetric input,
-    or for ``m`` outside [1, n].
+    or for ``m`` outside [1, n]; ``kpca.fit_kpca`` skips these by :func:`_solve`.
     """
     a = np.asarray(a, dtype=float)
     _validate_symmetric(a)
-    n = a.shape[0]
-    if m is not None:
-        if not 1 <= m <= n:
-            raise ValueError(f"m={m} outside [1, n] = [1, {n}]")
-        if _basis_cap(n, m) >= _MIN_STEPS * m:
-            top = _krylov_top(a, m)
-            if top is not None:
-                return _canonical(*top)
+    if m is not None and not 1 <= m <= a.shape[0]:
+        raise ValueError(f"m={m} outside [1, n] = [1, {a.shape[0]}]")
+    return _solve(a, m)
+
+
+def _solve(a: np.ndarray, m: int | None) -> EigenDecomposition:
+    """:func:`sym_eig` of a finite, symmetric float matrix, without its checks."""
+    if m is not None and _basis_cap(a.shape[0], m) >= _MIN_STEPS * m:
+        top = _krylov_top(a, m)
+        if top is not None:
+            return _canonical(*top)
     w, v = np.linalg.eigh(a)
     return _canonical(w, v, m)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import sym_eig
+from .eigen import _solve
 from .kernels import (KernelSpec, PreparedRows, _data_matrix, block_rows, gram_with_means,
                       kernel_blocks)
 
@@ -121,15 +121,15 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     """Fit kernel PCA with up to ``m`` components.
 
     Steps: build the kernel matrix and its column means
-    (:func:`kernels.gram_with_means`), center it in place in one pass of
-    row blocks (the operations of :func:`kernels.center_gram` in its order,
-    so the result is bit-identical, but with no second N x N array), solve
-    for its top ``m`` eigenpairs only, keep the leading ones with raw
+    (:func:`kernels.gram_with_means`), reject it if a row mean is not finite,
+    center it in place in one pass of row blocks (the operations of
+    :func:`kernels.center_gram` in its order, so the result is bit-identical,
+    but with no second N x N array), solve for its top ``m`` eigenpairs by
+    the unchecked :func:`eigen._solve`, keep the leading ones with raw
     eigenvalue above the cutoff, and rescale each eigenvector alpha_k (unit
-    norm from the solver) to
-    a_k = alpha_k / sqrt(raw_k) so that lambda_k * N * |a_k|^2 = 1.  The
-    coefficients are stored C-contiguous, the layout a loaded model has, so
-    both transform bit-identically.
+    norm from the solver) to a_k = alpha_k / sqrt(raw_k) so that
+    lambda_k * N * |a_k|^2 = 1.  The coefficients are stored C-contiguous,
+    the layout a loaded model has, so both transform bit-identically.
 
     Identical data points are legal: the centered Gram is then zero and the
     model simply retains no components.
@@ -139,6 +139,8 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     if not 1 <= m <= n:
         raise ValueError(f"components M={m} outside [1, N] = [1, {n}]")
     k, col_means = gram_with_means(spec, x)
+    if not np.isfinite(col_means).all():
+        raise ValueError(f"kernel matrix row {np.isfinite(col_means).argmin()} is not finite")
     grand = col_means.mean()
     step = block_rows(n, n)
     for i0 in range(0, n, step):
@@ -146,8 +148,10 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
         blk -= col_means[i0:i0 + step, None]
         blk -= col_means
         blk += grand
-    dec = sym_eig(k, m)
+    dec = _solve(k, m)
     raw = dec.values
+    if not np.isfinite(raw).all():  # the centring overflowed
+        raise ValueError("centred kernel matrix is not finite")
     cutoff = DROP_RTOL * max(raw[0], 0.0)
     r = int(np.count_nonzero(raw[:m] > cutoff))
     coeffs = np.ascontiguousarray(dec.vectors[:, :r] / np.sqrt(raw[:r]))

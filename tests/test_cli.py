@@ -192,22 +192,28 @@ def test_classify_requires_labels(tmp_path, capsys):
     assert "labels" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("train, train_labels, test_labels, message", [
-    ("0,1\n1,0\nnan,1\n3,0\n", "1\n-1\n1\n-1\n", None,
-     "feature row 2 has non-finite entries"),
-    ("0,1\n1,0\n2,1\n3,0\n", "1\n-1\n1.5\n-1\n", None,
+@pytest.mark.parametrize("train, train_labels, test, test_labels, message", [
+    ("0,1\n1,0\nnan,1\n3,0\n", "1\n-1\n1\n-1\n", None, None,
+     "{train}: feature row 2 has non-finite entries"),
+    ("0,1\n1,0\n2,1\n3,0\n", "1\n-1\n1.5\n-1\n", None, None,
      "{train_labels}: label row 2 is 1.5, not an integer"),
-    ("0,1\n1,0\n2,1\n3,0\n", "1\n-1\nnan\n-1\n", None,
+    ("0,1\n1,0\n2,1\n3,0\n", "1\n-1\nnan\n-1\n", None, None,
      "{train_labels}: label row 2 is nan, not an integer"),
-    ("0,1\n1,0\n2,1\n3,0\n", "1\n-1\n1\n-1\n", "1\n0\n1\n0\n",
+    ("0,1\n1,0\n2,1\n3,0\n", "1\n-1\n1\n-1\n", None, "1\n0\n1\n0\n",
      "labels must be +1 or -1, label 1 is 0.0"),
-], ids=["nan-feature", "fractional-label", "nan-label", "zero-one-test-labels"])
-def test_classify_rejects_what_it_cannot_score(tmp_path, capsys, train, train_labels,
+    ("0,1\n1,0\n2,1\n3,0\n", "1\n-1\n1\n-1\n", "0,1\nnan,1\n", "1\n-1\n",
+     "{test}: feature row 1 has non-finite entries"),
+    ("0,1\n1,0\n2,1\n3,0\n", "1\n-1\n1\n", None, None,
+     "{train_labels}: 3 labels for the 4 rows of {train}"),
+], ids=["nan-feature", "fractional-label", "nan-label", "zero-one-test-labels",
+        "nan-test-feature", "label-count"])
+def test_classify_rejects_what_it_cannot_score(tmp_path, capsys, train, train_labels, test,
                                                test_labels, message):
-    # Each used to exit 0 with a garbage error rate: NaN weights, a label
-    # truncated to an int, or 0/1 labels compared with +/-1 predictions.
+    # The first four used to exit 0 with a garbage error rate: NaN weights, a
+    # label truncated to an int, or 0/1 labels compared with +/-1 predictions.
+    # An error in a file's rows names that file.
     paths = {}
-    for name, text in (("train", train), ("train_labels", train_labels),
+    for name, text in (("train", train), ("train_labels", train_labels), ("test", test),
                        ("test_labels", test_labels)):
         if text is not None:
             paths[name] = tmp_path / f"{name}.csv"
@@ -215,7 +221,7 @@ def test_classify_rejects_what_it_cannot_score(tmp_path, capsys, train, train_la
     argv = ["classify", "--train-features", str(paths["train"]),
             "--train-labels", str(paths["train_labels"]), "--out", str(tmp_path / "clf")]
     if test_labels is not None:
-        argv += ["--test-features", str(paths["train"]),
+        argv += ["--test-features", str(paths.get("test", paths["train"])),
                  "--test-labels", str(paths["test_labels"])]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"

@@ -64,7 +64,7 @@ def test_top_m_fit_matches_full_eigh_fit(monkeypatch, m):
     monkeypatch.setattr(eigen, "_krylov_top", spy)
     top = fit_kpca(x, spec, m)
     assert solved and solved[0] is not None  # block Lanczos, not the fallback
-    monkeypatch.setattr(kpca, "sym_eig", lambda a, m=None: sym_eig(a))
+    monkeypatch.setattr(kpca, "_solve", lambda a, m: sym_eig(a))
     full = fit_kpca(x, spec, m)
     assert top.n_components == full.n_components == m
     assert np.abs(top.eigenvalues - full.eigenvalues).max() <= 1e-12 * full.eigenvalues[0]
@@ -666,10 +666,56 @@ def test_fit_centres_the_gram_in_place_as_center_gram_does(monkeypatch, kind,
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * len(x))
     seen = []
 
-    def spy(a, m=None):
+    def spy(a, m):
         seen.append(a.copy())
         return sym_eig(a, m)
 
-    monkeypatch.setattr(kpca, "sym_eig", spy)
+    monkeypatch.setattr(kpca, "_solve", spy)
     fit_kpca(x, spec, 3)
     assert np.array_equal(seen[0], center_gram(kernel_matrix(spec, x, x)))
+
+
+@_KINDS
+@pytest.mark.parametrize("n", [300, 20], ids=["krylov", "eigh"])
+def test_fit_solves_its_gram_unchecked_and_bit_identically(monkeypatch, kind, n):
+    # The fit's Gram is exactly symmetric, so the solve skips sym_eig's four
+    # reads of it; the answer is sym_eig's on the same table.
+    x = gen_two_spheres(SpheresParams(n=n, seed=3)).features
+    spec = {"linear": KernelSpec.linear,
+            "polynomial": lambda: KernelSpec.polynomial(2, 1.0),
+            "gaussian": lambda: KernelSpec.gaussian(select_sigma(x))}[kind]()
+    m = 2
+    dec = sym_eig(center_gram(kernel_matrix(spec, x, x)), m)
+    r = int(np.count_nonzero(dec.values > kpca.DROP_RTOL * max(dec.values[0], 0.0)))
+    solved = []
+    iterate = eigen._krylov_top
+
+    def spy(a, m):
+        solved.append(iterate(a, m))
+        return solved[-1]
+
+    def refuse(a):
+        raise AssertionError("fit_kpca checked its own Gram")
+
+    monkeypatch.setattr(eigen, "_krylov_top", spy)
+    monkeypatch.setattr(eigen, "_validate_symmetric", refuse)
+    model = fit_kpca(x, spec, m)
+    assert (solved[0] is not None) if n == 300 else not solved
+    assert model.n_components == r == m
+    assert np.array_equal(model.eigenvalues, dec.values[:r] / n)
+    assert np.array_equal(model.coefficients, dec.vectors[:, :r] / np.sqrt(dec.values[:r]))
+
+
+@pytest.mark.parametrize("x, spec, message", [
+    (10.0 * np.random.default_rng(4).standard_normal((50, 3)),
+     KernelSpec.polynomial(401, 1.0), "kernel matrix row 0 is not finite"),
+    # Finite entries and row means, but k_00 - 2 r_0 overflows in the centring.
+    (np.array([[1.22e154, 0.0], [-1.22e154, 0.0], [-0.8e154, 0.0]]),
+     KernelSpec.linear(), "centred kernel matrix is not finite"),
+], ids=["overflowing-polynomial", "overflowing-centring"])
+def test_fit_rejects_a_non_finite_kernel_table(x, spec, message):
+    # sym_eig used to reject these; the fit's solve no longer checks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as err:
+            fit_kpca(x, spec, 2)
+    assert str(err.value) == message
