@@ -32,7 +32,7 @@ from kpca_lab.shapes import (  # noqa: E402
 )
 
 
-def write_strip(out_dir: Path, steps: list[np.ndarray]) -> None:
+def write_strip(out_dir: Path, steps: np.ndarray) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, shape in enumerate(steps, start=1):
         svg = render_face_svg(shape, BIOID_20_ROLES)
@@ -54,12 +54,10 @@ def main() -> int:
                         help="kernel sweep half-width in feature deviations")
     args = parser.parse_args()
 
-    shapes = normalize_shapes(
-        [read_pts(p) for p in sorted(args.pts_dir.glob("*.pts"))])
-    print(f"{len(shapes)} shapes from {args.pts_dir}")
+    x = normalize_shapes([read_pts(p) for p in sorted(args.pts_dir.glob("*.pts"))])
+    print(f"{len(x)} shapes from {args.pts_dir}")
 
-    pdm = fit_shape_model(shapes, args.m)
-    x = np.vstack(shapes)
+    pdm = fit_shape_model(x, args.m)
     sigma = select_sigma(x)
     kpm = fit_kpca(x, KernelSpec.gaussian(sigma), args.m)
     print(f"gaussian sigma: {sigma:.4f}")

@@ -5,8 +5,9 @@ Both classes are zero-mean 1000-dimensional Gaussians, so every linear
 projection of the pair overlaps heavily; they differ only in scale on the
 first three axes (tight vs wide).  That difference lives in distances,
 not directions, which is exactly what a gaussian kernel picks up and a
-covariance eigenbasis cannot.  With far fewer samples than dimensions the
-linear baseline uses the dual (gram-matrix) PCA route.
+covariance eigenbasis cannot.  The linear baseline is ``fit_pca``, which
+takes the dual (Gram-matrix) route by itself because the samples are far
+fewer than the dimensions.
 
 Runs several seeds, fits a least-squares classifier on nine features from
 each method, and reports per-seed and pooled test errors.
@@ -24,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from kpca_lab.classify import error_rate, fit_linear  # noqa: E402
 from kpca_lab.kernels import KernelSpec  # noqa: E402
 from kpca_lab.kpca import fit_kpca, kpca_transform, select_sigma  # noqa: E402
-from kpca_lab.pca import fit_pca_dual, pca_project  # noqa: E402
+from kpca_lab.pca import fit_pca, pca_project  # noqa: E402
 
 AMBIENT_DIMS = 997
 ACTIVE_DIMS = 3
@@ -61,7 +62,7 @@ def main() -> int:
     for seed in range(args.seeds):
         (x_train, y_train), (x_test, y_test) = make_split(seed)
 
-        pmodel = fit_pca_dual(x_train, args.components)
+        pmodel = fit_pca(x_train, args.components)
         clf = fit_linear(pca_project(pmodel, x_train), y_train)
         pca_err = error_rate(clf, pca_project(pmodel, x_test), y_test)
 

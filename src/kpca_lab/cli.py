@@ -27,13 +27,14 @@ from .kernels import KernelSpec
 from .kpca import (
     KpcaModel,
     PreimageConfig,
+    UnsupportedKernelError,
     fit_kpca,
     kpca_preimages,
     kpca_transform,
     select_sigma,
 )
 from .model_io import load_model, save_model
-from .pca import fit_pca, fit_pca_dual, pca_project
+from .pca import fit_pca, pca_project
 from .shapes import (
     _CANVAS,
     BIOID_20_ROLES,
@@ -152,7 +153,10 @@ def cmd_gen_spheres(args) -> int:
 
 def _parse_sigma(arg: str, x: np.ndarray) -> float:
     if arg == "auto":
-        return select_sigma(x)
+        sigma = select_sigma(x)
+        if sigma == 0.0:
+            raise ValueError("--sigma auto gave width 0: every row has an exact duplicate")
+        return sigma
     try:
         return float(arg)
     except ValueError:
@@ -173,9 +177,7 @@ def _resolve_kernel(args, x: np.ndarray) -> tuple[KernelSpec, dict]:
 def cmd_embed(args) -> int:
     x, labels = _load_features_labels(args.input, args.labels, args.labels_col)
     if args.method == "pca":
-        n, d = x.shape
-        model = fit_pca_dual(x, args.components) if d > n \
-            else fit_pca(x, args.components)
+        model = fit_pca(x, args.components)
         transformed = pca_project(model, x)
         kernel_params = {}
     else:
@@ -240,9 +242,14 @@ def cmd_classify(args) -> int:
 def cmd_preimage(args) -> int:
     model = load_model(args.model)
     if not isinstance(model, KpcaModel):
-        raise ValueError("pre-images need a gaussian kernel-PCA model")
+        raise ValueError(f"{args.model}: pre-images need a gaussian kernel-PCA model")
     cfg = PreimageConfig(max_iterations=args.max_iter, tolerance=args.tol)
-    z, iterations, status = kpca_preimages(model, read_csv_matrix(args.input), cfg)
+    ys = read_csv_matrix(args.input)
+    try:
+        z, iterations, status = kpca_preimages(model, ys, cfg)
+    except ValueError as exc:  # a kernel kind is the model's fault, a row the input's
+        path = args.model if isinstance(exc, UnsupportedKernelError) else args.input
+        raise ValueError(f"{path}: {exc}") from None
     z[status == "diverged"] = np.nan
     rows_report = [{"row": i, "status": s, "iterations": n} for i, (s, n)
                    in enumerate(zip(status.tolist(), iterations.tolist()))]
@@ -272,13 +279,11 @@ def cmd_asm_sweep(args) -> int:
     pts_files = sorted(Path(args.pts_dir).glob("*.pts"))
     if len(pts_files) < 2:
         raise ValueError(f"need at least 2 PTS files in {args.pts_dir}")
-    shapes = [read_pts(path) for path in pts_files]
     try:
-        normalized = normalize_shapes(shapes)
+        x = normalize_shapes([read_pts(path) for path in pts_files])
     except ShapeError as exc:
         raise ValueError(f"{pts_files[exc.index]}: {exc}") from None
     roles = read_role_map(args.role_map) if args.role_map else BIOID_20_ROLES
-    x = np.vstack(normalized)
     try:
         check_roles(roles, x.shape[1] // 2)
     except RoleMapError as exc:
@@ -286,8 +291,7 @@ def cmd_asm_sweep(args) -> int:
     params = {"method": args.method, "feature": args.feature,
               "steps": args.steps, "m": args.m}
     if args.method == "pca":
-        t = min(args.m, x.shape[1], x.shape[0])
-        model = fit_shape_model(normalized, t)
+        model = fit_shape_model(x, min(args.m, *x.shape))
         swept = sweep_pca_feature(model, args.feature, args.steps)
     else:
         cfg = PreimageConfig(max_iterations=args.max_iter, tolerance=args.tol)
@@ -302,7 +306,7 @@ def cmd_asm_sweep(args) -> int:
         svg_path.write_text(render_face_svg(shape, roles), encoding="ascii")
         outputs.append(svg_path)
     shapes_path = out / "shapes.csv"
-    write_csv_matrix(np.vstack(swept), shapes_path)
+    write_csv_matrix(swept, shapes_path)
     outputs.append(shapes_path)
     _write_manifest(
         out, "asm-sweep", params,

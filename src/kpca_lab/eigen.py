@@ -96,15 +96,16 @@ def _validate_symmetric(a: np.ndarray) -> None:
         )
 
 
+def _sign_columns(v: np.ndarray) -> np.ndarray:
+    """Flip columns of ``v`` in place so each entry of largest magnitude is >= 0."""
+    v[:, v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0.0] *= -1.0
+    return v
+
+
 def _canonical(w: np.ndarray, v: np.ndarray, m: int | None = None) -> EigenDecomposition:
     """The first ``m`` pairs (all for None) in descending order with the sign rule."""
     order = np.argsort(-w, kind="stable")[:m]
-    w = w[order]
-    v = v[:, order]
-    lead = np.argmax(np.abs(v), axis=0)
-    flip = v[lead, np.arange(v.shape[1])] < 0.0
-    v[:, flip] *= -1.0
-    return EigenDecomposition(values=w, vectors=v)
+    return EigenDecomposition(values=w[order], vectors=_sign_columns(v[:, order]))
 
 
 def _basis_cap(n: int, b: int) -> int:

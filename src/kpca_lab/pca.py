@@ -1,4 +1,4 @@
-"""Standard PCA fit/project/reconstruct, plus the dual form for D >> N.
+"""PCA fit/project/reconstruct; :func:`fit_pca` takes the dual route for D > N.
 
 The sample covariance uses the 1/N normalization, so the variance of the
 k-th projected training coordinate equals the k-th eigenvalue.
@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import sym_eig
-from .kernels import KernelSpec, _data_matrix, kernel_matrix
+from .eigen import _sign_columns, sym_eig
+from .kernels import _data_matrix
 
 # Relative cutoff below which a dual-Gram eigenvalue counts as zero rank.
 _RANK_RTOL = 1e-12
@@ -43,66 +43,55 @@ def _validate_fit_args(x: np.ndarray, m: int) -> np.ndarray:
 
 
 def fit_pca(x: np.ndarray, m: int) -> PcaModel:
-    """Fit PCA by eigendecomposition of the D x D sample covariance.
+    """Fit PCA from the D x D sample covariance, or for D > N by :func:`fit_pca_dual`.
 
-    Eigenvalues are the top M of the covariance (tiny negative round-off is
-    clamped to zero).  A degenerate dataset (all rows identical) yields a
-    model with zero eigenvalues rather than an error.
+    The route is chosen here, not by callers.  Eigenvalues are the top M of
+    the covariance (tiny negative round-off is clamped to zero).  A
+    degenerate dataset (all rows identical) yields a model with zero
+    eigenvalues rather than an error.
     """
     x = _validate_fit_args(x, m)
-    n = x.shape[0]
+    n, d = x.shape
+    if d > n:
+        return fit_pca_dual(x, m)
     mean = x.mean(axis=0)
     xc = x - mean
-    cov = xc.T @ xc / n
-    dec = sym_eig(cov)
-    values = np.maximum(dec.values[:m], 0.0)
-    return PcaModel(mean=mean, basis=dec.vectors[:, :m].copy(), eigenvalues=values)
+    dec = sym_eig(xc.T @ xc / n)
+    return PcaModel(mean=mean, basis=dec.vectors[:, :m].copy(),
+                    eigenvalues=np.maximum(dec.values[:m], 0.0))
 
 
 def fit_pca_dual(x: np.ndarray, m: int) -> PcaModel:
-    """Fit PCA through the N x N inner-product matrix of centered rows.
+    """Fit PCA through the N x N Gram ``xc @ xc.T`` of the centred rows.
 
-    Same contract as :func:`fit_pca` (identical eigenvalues and basis up to
-    the shared sign convention); intended for D > N where the covariance
-    itself is too large.  Components whose Gram eigenvalue is numerically
-    zero get eigenvalue 0 and a deterministic orthonormal completion vector,
-    which keeps the basis orthonormal at full M.
+    :func:`fit_pca` takes this route for D > N, with the same contract.  The
+    r eigenvectors above the rank cutoff map to the basis in one product
+    ``xc.T @ V[:, :r]``, normalised and signed by the rule of :mod:`eigen`;
+    the other M - r components get eigenvalue 0 and a deterministic
+    orthonormal completion vector, so the basis stays orthonormal at full M.
     """
     x = _validate_fit_args(x, m)
     n, d = x.shape
     mean = x.mean(axis=0)
     xc = x - mean
-    gram = kernel_matrix(KernelSpec.linear(), xc, xc)
-    dec = sym_eig(gram)
+    dec = sym_eig(xc @ xc.T)
     raw = dec.values
-    cutoff = _RANK_RTOL * max(raw[0], 0.0)
-    basis = np.zeros((d, m))
-    values = np.zeros(m)
-    degenerate = []
-    for k in range(m):
-        if raw[k] > cutoff:
-            u = xc.T @ dec.vectors[:, k]
-            u /= np.linalg.norm(u)
-            lead = np.argmax(np.abs(u))
-            if u[lead] < 0.0:
-                u = -u
-            basis[:, k] = u
-            values[k] = raw[k] / n
-        else:
-            degenerate.append(k)
-    for k in degenerate:
-        basis[:, k] = _complete_column(basis, k)
-    return PcaModel(mean=mean, basis=basis, eigenvalues=values)
+    r = int(np.count_nonzero(raw[:m] > _RANK_RTOL * max(raw[0], 0.0)))
+    lead = xc.T @ dec.vectors[:, :r]
+    lead /= np.linalg.norm(lead, axis=0)
+    basis = np.hstack([_sign_columns(lead), np.zeros((d, m - r))])
+    for k in range(r, m):
+        basis[:, k] = _complete_column(basis)
+    return PcaModel(mean=mean, basis=basis,
+                    eigenvalues=np.append(raw[:r] / n, np.zeros(m - r)))
 
 
-def _complete_column(basis: np.ndarray, k: int) -> np.ndarray:
-    # First canonical vector with a non-trivial residual against the columns
-    # filled so far, orthonormalized; deterministic by construction.
-    d = basis.shape[0]
-    for j in range(d):
-        u = np.zeros(d)
-        u[j] = 1.0
-        u -= basis @ (basis.T @ u)
+def _complete_column(basis: np.ndarray) -> np.ndarray:
+    # The first canonical vector e_j whose residual e_j - B B^T e_j against the
+    # columns B filled so far (B^T e_j is row j of B) has norm > 0.5, normalized.
+    for j in range(basis.shape[0]):
+        u = -(basis @ basis[j])
+        u[j] += 1.0
         norm = np.linalg.norm(u)
         if norm > 0.5:
             return u / norm

@@ -92,47 +92,39 @@ def points_shape(points: np.ndarray) -> np.ndarray:
     return points.reshape(-1)
 
 
-def normalize_shapes(shapes: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Min-max normalize each shape so both coordinates span exactly [0, 1].
+def normalize_shapes(shapes: Sequence[np.ndarray]) -> np.ndarray:
+    """The S x 2n matrix of the shapes, each min-max normalized to span [0, 1].
 
-    Normalization is per shape and per axis, which removes translation and
-    scale.  A shape whose points are collinear along an axis has no scale
-    there; that, or a point count unlike the first shape's, raises a
-    :class:`ShapeError` naming the shape index.
+    One vectorised pass normalizes per shape and per axis, which removes
+    translation and scale.  A shape whose points are collinear along an
+    axis has no scale there; that, or a point count unlike the first
+    shape's, raises a :class:`ShapeError` naming the first such shape.
     """
     if len(shapes) == 0:
         raise ValueError("no shapes given")
-    n = shapes[0].size
-    out = []
-    for idx, shape in enumerate(shapes):
-        if shape.size != n:
-            raise ShapeError(
-                f"shape {idx} has {shape.size // 2} points, expected {n // 2}", idx
-            )
-        pts = shape_points(shape).copy()
-        for axis in range(2):
-            lo = pts[:, axis].min()
-            hi = pts[:, axis].max()
-            if hi - lo <= 0.0:
-                raise ShapeError(
-                    f"shape {idx} is degenerate: zero range on "
-                    f"{'xy'[axis]} axis", idx
-                )
-            pts[:, axis] = (pts[:, axis] - lo) / (hi - lo)
-        out.append(points_shape(pts))
-    return out
+    n = shape_points(shapes[0]).size
+    count = next((i for i, s in enumerate(shapes) if s.size != n), len(shapes))
+    pts = np.array(shapes[:count], dtype=float).reshape(count, -1, 2)
+    lo = pts.min(axis=1, keepdims=True)
+    span = pts.max(axis=1, keepdims=True) - lo
+    bad = np.flatnonzero(span <= 0.0)
+    if bad.size:
+        idx, axis = divmod(int(bad[0]), 2)
+        raise ShapeError(f"shape {idx} is degenerate: zero range on {'xy'[axis]} axis", idx)
+    if count < len(shapes):
+        raise ShapeError(
+            f"shape {count} has {shapes[count].size // 2} points, expected {n // 2}", count)
+    return ((pts - lo) / span).reshape(count, n)
 
 
 def fit_shape_model(shapes: Sequence[np.ndarray], t: int) -> pca.PcaModel:
-    """PCA deformation model over aligned, normalized shape vectors."""
+    """PCA deformation model of the S x 2n shape matrix; :func:`pca.fit_pca` picks the route."""
     if len(shapes) < 2:
         raise ValueError("need at least 2 shapes")
     n = shapes[0].size
     for idx, s in enumerate(shapes):
         if s.size != n:
-            raise ValueError(
-                f"shape {idx} has {s.size // 2} points, expected {n // 2}"
-            )
+            raise ValueError(f"shape {idx} has {s.size // 2} points, expected {n // 2}")
     return pca.fit_pca(np.vstack(shapes), t)
 
 
@@ -173,15 +165,14 @@ def _sweep_rows(eigenvalues: np.ndarray, k: int, half: float, steps: int) -> np.
     return rows
 
 
-def sweep_pca_feature(model: pca.PcaModel, k: int, steps: int) -> list[np.ndarray]:
+def sweep_pca_feature(model: pca.PcaModel, k: int, steps: int) -> np.ndarray:
     """Sweep deformation mode k (1-based) across its +/- 3 sqrt(lambda) range.
 
-    Returns ``steps`` shapes with b_k linearly spaced over the limit
-    interval, endpoints included, and every other weight zero.  With an odd
-    step count the middle shape is exactly the mean shape.
+    Returns the ``steps`` x 2n matrix of shapes with b_k linearly spaced
+    over the limit interval, endpoints included, and every other weight
+    zero.  With an odd step count the middle shape is exactly the mean shape.
     """
-    rows = _sweep_rows(model.eigenvalues, k, 3.0, steps)
-    return list(pca.pca_reconstruct(model, rows))
+    return pca.pca_reconstruct(model, _sweep_rows(model.eigenvalues, k, 3.0, steps))
 
 
 def sweep_kpca_feature(
@@ -190,8 +181,8 @@ def sweep_kpca_feature(
     c: float,
     steps: int,
     cfg: PreimageConfig | None = None,
-) -> list[np.ndarray]:
-    """Sweep kernel feature k (1-based) and reconstruct shapes by pre-image.
+) -> np.ndarray:
+    """Sweep kernel feature k (1-based): the ``steps`` x 2n matrix of pre-images.
 
     The sweep range is the training mean of feature k plus/minus ``c``
     training standard deviations (population convention), sampled uniformly
@@ -215,7 +206,7 @@ def sweep_kpca_feature(
             f"pre-image failed at sweep step {i + 1} of {steps}: "
             f"{status[i]} after {iterations[i]} iterations"
         )
-    return list(z)
+    return z
 
 
 def fit_parabola(points: np.ndarray) -> tuple[float, float, float]:

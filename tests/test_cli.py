@@ -336,6 +336,71 @@ def test_preimage_rejects_linear_kpca_model(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("embed, message", [
+    (["--method", "pca"], "pre-images need a gaussian kernel-PCA model"),
+    (["--method", "kpca", "--kernel", "linear"],
+     "pre-images are only defined for the gaussian kernel, model uses 'linear'"),
+    (["--method", "kpca", "--kernel", "poly"],
+     "pre-images are only defined for the gaussian kernel, model uses 'polynomial'"),
+], ids=["pca", "linear", "polynomial"])
+def test_preimage_model_kind_errors_name_the_model(tmp_path, capsys, embed, message):
+    data = gen_spheres(tmp_path, n=20)
+    model_path = tmp_path / "model.kpml"
+    assert main(["embed", *embed, "--components", "2",
+                 "--input", str(data / "features.csv"), "--save-model", str(model_path),
+                 "--out", str(tmp_path / "embed")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "pre"
+    assert main(["preimage", "--model", str(model_path),
+                 "--input", str(tmp_path / "embed" / "features.csv"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {model_path}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0.1,0.2\nnan,0.1\n", "feature row 1 has non-finite entries"),
+    ("0.1,0.2,0.3\n", "expected 2 feature values per row, got shape (1, 3)"),
+], ids=["nan-row", "row-width"])
+def test_preimage_row_errors_name_the_input(tmp_path, capsys, rows, message):
+    data = gen_spheres(tmp_path, n=20)
+    model_path = tmp_path / "model.kpml"
+    assert main(["embed", "--method", "kpca", "--components", "2",
+                 "--input", str(data / "features.csv"), "--save-model", str(model_path),
+                 "--out", str(tmp_path / "embed")]) == 0
+    capsys.readouterr()
+    rows_path = tmp_path / "rows.csv"
+    rows_path.write_text(rows)
+    out = tmp_path / "pre"
+    assert main(["preimage", "--model", str(model_path), "--input", str(rows_path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {rows_path}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["embed", "asm-sweep"])
+def test_auto_sigma_of_all_duplicate_rows_names_the_cause(tmp_path, capsys, subcommand):
+    # Every row has an exact twin, so the mean nearest-neighbour distance is
+    # 0; the error used to be the kernel's "gaussian width ... got 0.0".
+    if subcommand == "embed":
+        features = tmp_path / "features.csv"
+        features.write_text("0,1\n0,1\n2,3\n2,3\n")
+        argv = ["embed", "--method", "kpca", "--input", str(features)]
+    else:
+        pts_dir = tmp_path / "pts"
+        pts_dir.mkdir()
+        for name, source in (("a", "face_00"), ("b", "face_01"), ("c", "face_00"),
+                             ("d", "face_01")):
+            text = (Path(CORPUS_DIR) / f"{source}.pts").read_text()
+            (pts_dir / f"{name}.pts").write_text(text)
+        argv = ["asm-sweep", "--method", "kpca", "--pts-dir", str(pts_dir)]
+    out = tmp_path / "out"
+    assert main(argv + ["--sigma", "auto", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: --sigma auto gave width 0: every row has an exact duplicate\n"
+    assert not out.exists()
+
+
 def test_asm_sweep_pca(tmp_path):
     out = tmp_path / "sweep"
     assert main(["asm-sweep", "--pts-dir", CORPUS_DIR, "--method", "pca",

@@ -3,6 +3,7 @@ import pytest
 
 from kpca_lab import pca
 from kpca_lab.eigen import sym_eig
+from kpca_lab.kernels import KernelSpec, kernel_matrix
 from kpca_lab.pca import fit_pca, fit_pca_dual, pca_project, pca_reconstruct
 
 TWO_POINTS = np.array([[0.0, 0.0], [2.0, 0.0]])
@@ -35,7 +36,9 @@ def test_eigenvalue_sum_equals_covariance_trace():
 @pytest.mark.parametrize("shape", [(300, 7), (20, 50), (1000, 3)])
 def test_covariance_is_the_exactly_symmetric_self_product(monkeypatch, shape):
     # The covariance goes to sym_eig as numpy's self-product, with no
-    # triangle copied by hand: it equals the upper triangle mirrored.
+    # triangle copied by hand: it equals the upper triangle mirrored.  Wide
+    # data (D > N) takes the dual route, whose N x N Gram xc @ xc.T holds the
+    # bytes of the linear kernel table.
     rng = np.random.default_rng(25)
     x = np.repeat(rng.standard_normal(shape) * 3.0 + 1.0, 2, axis=1)[:, ::2]
     seen = []
@@ -47,8 +50,12 @@ def test_covariance_is_the_exactly_symmetric_self_product(monkeypatch, shape):
     monkeypatch.setattr(pca, "sym_eig", spy)
     fit_pca(x, 2)
     xc = x - x.mean(axis=0)
-    cov = xc.T @ xc / shape[0]
-    assert np.array_equal(seen[0], np.triu(cov) + np.triu(cov, 1).T)
+    if shape[1] > shape[0]:
+        assert np.array_equal(seen[0], kernel_matrix(KernelSpec.linear(), xc, xc))
+    else:
+        cov = xc.T @ xc / shape[0]
+        assert np.array_equal(seen[0], np.triu(cov) + np.triu(cov, 1).T)
+    assert len(seen) == 1
 
 
 def test_projected_variance_equals_eigenvalues():
@@ -138,12 +145,25 @@ def test_dual_agrees_on_small_case():
 
 
 def test_dual_agrees_on_wide_data():
+    # The reference is the D x D covariance solve, which fit_pca no longer
+    # forms for D > N.
     rng = np.random.default_rng(26)
     x = rng.standard_normal((10, 200))
-    a = fit_pca(x, 9)
+    xc = x - x.mean(axis=0)
+    a = sym_eig(xc.T @ xc / 10)
     b = fit_pca_dual(x, 9)
-    assert np.allclose(a.eigenvalues, b.eigenvalues, rtol=1e-8)
-    assert np.abs(a.basis - b.basis).max() <= 1e-8
+    assert np.allclose(a.values[:9], b.eigenvalues, rtol=1e-8)
+    assert np.abs(a.vectors[:, :9] - b.basis).max() <= 1e-8
+
+
+@pytest.mark.parametrize("shape, m", [((10, 200), 9), ((3, 50), 3), ((4, 5), 4)])
+def test_fit_pca_takes_the_dual_route_for_wide_data(shape, m):
+    # Callers do not pick the route: for D > N fit_pca is fit_pca_dual,
+    # rank-deficient completion columns included.
+    x = np.random.default_rng(29).standard_normal(shape)
+    a, b = fit_pca(x, m), fit_pca_dual(x, m)
+    for field in ("mean", "basis", "eigenvalues"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_dual_rank_one():

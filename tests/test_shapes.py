@@ -18,6 +18,7 @@ from kpca_lab.shapes import (
     LandmarkRoleMap,
     PtsParseError,
     RoleMapError,
+    ShapeError,
     clamp_deformation,
     fit_shape_model,
     normalize_shapes,
@@ -78,6 +79,32 @@ def test_normalize_degenerate_axis_error():
 def test_normalize_mixed_sizes_error():
     with pytest.raises(ValueError):
         normalize_shapes([SQUARE, np.zeros(6)])
+
+
+def test_normalize_returns_one_matrix_of_per_shape_rows():
+    # The S x 2n matrix of one vectorised pass; row i is shape i min-max
+    # normalized on its own, bit for bit.
+    shapes = [read_pts(f) for f in sorted(CORPUS_DIR.glob("*.pts"))]
+    out = normalize_shapes(shapes)
+    assert isinstance(out, np.ndarray) and out.shape == (len(shapes), shapes[0].size)
+    for row, shape in zip(out, shapes):
+        pts = shape_points(shape)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        assert np.array_equal(row, points_shape((pts - lo) / (hi - lo)))
+
+
+@pytest.mark.parametrize("later, index, message", [
+    (np.zeros(6), 1, "shape 1 is degenerate: zero range on y axis"),
+    (SQUARE, 1, "shape 1 is degenerate: zero range on y axis"),
+    (np.zeros(6), 2, "shape 2 has 3 points, expected 4"),
+])
+def test_normalize_names_the_first_bad_shape(later, index, message):
+    flat_y = points_shape(np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]))
+    shapes = [SQUARE, flat_y if index == 1 else SQUARE, later]
+    with pytest.raises(ShapeError) as info:
+        normalize_shapes(shapes)
+    assert str(info.value) == message
+    assert type(info.value.index) is int and info.value.index == index
 
 
 def test_fit_two_symmetric_shapes_rank_one():
@@ -203,6 +230,14 @@ def test_kpca_sweep_differs_from_pca_sweep():
     displacement = max(np.abs(a - b).max()
                        for a, b in zip(pca_steps, kpca_steps))
     assert displacement > 1e-3
+
+
+def test_sweeps_return_one_matrix_of_shapes():
+    x = load_corpus()
+    kmodel = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), 4)
+    for swept in (sweep_pca_feature(fit_shape_model(x, 4), 2, 3),
+                  sweep_kpca_feature(kmodel, 2, 500.0, 3)):
+        assert isinstance(swept, np.ndarray) and swept.shape == (3, x.shape[1])
 
 
 def test_kpca_sweep_validation():
