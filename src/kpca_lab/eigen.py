@@ -5,7 +5,8 @@ this module so that ordering and sign conventions are fixed in exactly
 one place: eigenvalues descending with stable tie-breaking, and each
 eigenvector's entry of largest magnitude non-negative.  ``sym_eig`` checks
 that its input is square, finite and symmetric; ``kpca.fit_kpca`` solves
-its own exactly symmetric centred Gram by the unchecked :func:`_solve`.
+its own centred Gram by the unchecked :func:`_solve`: the uncentred table
+is exactly symmetric, and the centred one symmetric to one rounding.
 
 ``sym_eig(a)`` delegates the full decomposition to LAPACK via
 ``numpy.linalg.eigh``.  ``sym_eig(a, m)`` returns only the top ``m`` pairs,
@@ -133,8 +134,8 @@ def _krylov_top(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
     h = np.zeros((0, 0))
     while True:
         k = basis.shape[1]
-        # A is symmetric: (Q_j^T A)^T = A Q_j, and the wide product reads A
-        # row by row, up to twice as fast as A @ Q_j for a thin block.
+        # (Q_j^T A)^T = A^T Q_j, A Q_j to one rounding for a centred Gram; it
+        # reads A row by row, up to twice as fast as A @ Q_j for a thin block.
         w = (block.T @ a).T
         c = basis.T @ w
         h = np.pad(h, ((0, m), (0, m)))

@@ -10,19 +10,19 @@ formula, :meth:`PreparedRows.raw`, c |a - b|^2 from one product (c = 1, or
 -1/(2 sigma^2) for the gaussian): cross tables, the transform, the width
 heuristic and every pre-image step take their rows from it.
 
-Tables are built in row blocks of :func:`block_rows` rows, about 2 MB
-each, and every elementwise step (clamp, gaussian ``exp``, polynomial
+Cross tables are built in row blocks of :func:`block_rows` rows, about
+2 MB each, and every elementwise step (clamp, gaussian ``exp``, polynomial
 offset and power) runs on a block while it is still in cache, not in
 separate passes over the whole table.  :func:`kernel_blocks` yields the
 finished rows of a cross table one block at a time, so a caller that
 contracts each block never holds the table.
 
-Self tables, all built by :func:`gram_with_means`, are exactly symmetric
-because each is built from one self-product of the prepared rows:
-BLAS computes one triangle of it and numpy mirrors that triangle, and
-numpy's loop without BLAS sums entry (i, j) in the same order as (j, i).
-Every later step is elementwise or adds symmetric terms, so no triangle is
-copied by hand.
+Self tables, all built by :func:`gram_with_means`, walk their upper
+triangle in square tiles, each finished in cache and written with its
+transpose, so they are exactly symmetric by construction.  A diagonal tile
+is the self-product of its rows: BLAS computes one triangle and numpy
+mirrors it (numpy's loop without BLAS sums (i, j) in the order of (j, i)),
+and every later step is elementwise or adds symmetric terms.
 """
 
 from __future__ import annotations
@@ -137,6 +137,9 @@ def _operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK_ENTRIES = 1 << 18
 
 
+_TILE = 256  # side of the square tiles of a self table (0.5 MB of float64)
+
+
 def block_rows(n: int, d: int) -> int:
     """Rows per block for rows that each meet ``n`` rows of dimension ``d``."""
     return max(1, _BLOCK_ENTRIES // max(n, d, 1))
@@ -153,12 +156,12 @@ class PreparedRows:
     distances unchanged and removes the cancellation of |a|^2 + |b|^2 - 2ab
     for data far from the origin, and laid out once as the C-order
     N x (D + 2) buffer [b - m, 1, |b - m|^2]: ``rows`` is its first D
-    columns and ``norms`` its last, both views, so the self-product of
-    ``rows`` reads the same memory and nothing is copied a second time.
+    columns and ``norms`` its last, both views, so the products of tiles of
+    ``rows`` read the same memory and nothing is copied a second time.
     For dot products ``rows`` is ``b`` itself.
 
     :func:`kernel_blocks`, and through it every cross table, prepares ``b``
-    once per call; :func:`gram_with_means` takes the self-product of ``rows``;
+    once per call; :func:`gram_with_means` takes products of tiles of ``rows``;
     the pre-image fixed point prepares the training rows once per batch and
     calls :meth:`raw` at every step.
     """
@@ -261,7 +264,7 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The ``spec`` None table of :class:`PreparedRows`: both operands are
     shifted by the mean of ``b``, and the result is clamped at 0.  It is
     built as :func:`kernel_matrix` builds a kernel table, so the self case
-    (``a is b``) is exactly symmetric with a zero diagonal.
+    (``a is b``) is the exactly symmetric table of :func:`gram_with_means`.
     """
     return _table(None, a, b)
 
@@ -269,12 +272,12 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise kernel table: entry [i, j] = kernel(a_i, b_j).
 
-    The table is the only N x M array allocated; it is finished in row
-    blocks while they are in cache.  When ``a`` and ``b`` are the same
-    object the result is exactly symmetric: it is finished from numpy's
-    self-product (see :func:`gram_with_means`), and a gaussian diagonal is
-    exactly 1.  Otherwise each finished block of :func:`kernel_blocks` is
-    copied into its slice of the table.
+    The table is the only N x M array allocated.  When ``a`` and ``b`` are
+    the same object it is built over its upper triangle in tiles that are
+    finished in cache and mirrored as they are written (see
+    :func:`gram_with_means`): exactly symmetric, with a gaussian diagonal
+    exactly 1.  Otherwise each finished row block of :func:`kernel_blocks`
+    is copied into its slice of the table.
     """
     return _table(spec, a, b)
 
@@ -282,28 +285,36 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def gram_with_means(spec: KernelSpec | None, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Self table of the rows ``x`` (squared distances for ``spec`` None) and its row means.
 
-    The self-product G of the rows of ``PreparedRows(spec, x)`` is the only
-    N x N array.  Each block of :func:`block_rows` rows is finished in place
-    while it is in cache, and its row means are taken there: distances as
-    -2 G_ij + (|x_i|^2 + |x_j|^2) with a zero diagonal, scaled by the c of
-    :meth:`PreparedRows.raw`, then :meth:`PreparedRows.finish`, which makes
-    a zero gaussian exponent exactly 1.  The table is exactly symmetric, so
-    its row means are its column means, all that a fitted model keeps of it.
+    The table is the only N x N array.  Each upper tile of it takes the
+    product G of two ``_TILE``-row ranges of ``PreparedRows(spec, x)`` (of
+    a diagonal tile's rows with themselves) and is finished in cache:
+    distances as -2 G_ij + (|x_i|^2 + |x_j|^2), a zero diagonal on diagonal
+    tiles, scaled by the c of :meth:`PreparedRows.raw`, then
+    :meth:`PreparedRows.finish`, which makes a zero gaussian exponent
+    exactly 1; it is written with its transpose.  A stripe's row means are
+    taken once it is complete, and are the column means of the exactly
+    symmetric table, all that a fitted model keeps of it.
     """
     x = np.ascontiguousarray(_as_matrix(x, "x"))
     side = PreparedRows(spec, x)
-    out = side.rows @ side.rows.T
-    means = np.empty(x.shape[0])
-    step = block_rows(*x.shape)
-    for i0 in range(0, x.shape[0], step):
-        blk = out[i0:i0 + step]
-        if side.dist:
-            blk *= -2.0
-            blk += np.add.outer(side.norms[i0:i0 + step], side.norms)
-            np.fill_diagonal(blk[:, i0:], 0.0)
-            blk *= side._scale
-        side.finish(blk)
-        blk.mean(axis=1, out=means[i0:i0 + step])
+    n = x.shape[0]
+    out = np.empty((n, n))
+    means = np.empty(n)
+    for i0 in range(0, n, _TILE):
+        i1 = min(i0 + _TILE, n)
+        r = side.rows[i0:i1]
+        for j0 in range(i0, n, _TILE):
+            j1 = min(j0 + _TILE, n)
+            t = r @ r.T if j0 == i0 else r @ side.rows[j0:j1].T
+            if side.dist:
+                t *= -2.0
+                t += np.add.outer(side.norms[i0:i1], side.norms[j0:j1])
+                if j0 == i0:
+                    np.fill_diagonal(t, 0.0)
+                t *= side._scale
+            out[i0:i1, j0:j1] = side.finish(t)
+            out[j0:j1, i0:i1] = t.T
+        out[i0:i1].mean(axis=1, out=means[i0:i1])
     return out, means
 
 

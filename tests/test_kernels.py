@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,23 +221,31 @@ def reference_finish(spec, t):
     return t
 
 
-def reference_self_table(spec, x, step):
-    # One self-product G of the (for distances, mean-shifted) rows; per
-    # block of rows: distances as -2 G + outer(|x_i|^2, |x_j|^2), finish,
-    # then the diagonal set to 0 (distances) or 1 (gaussian).
+def reference_self_table(spec, x, tile):
+    # Over the upper triangle in square tiles of ``tile`` (for distances,
+    # mean-shifted) rows: G is the self-product of a diagonal tile's rows, or
+    # the product of two row ranges; distances as
+    # -2 G + outer(|x_i|^2, |x_j|^2), finished, a diagonal tile's diagonal
+    # then set to 0 (distances) or 1 (gaussian); the tile written to its
+    # place and its transpose to the mirrored place.
     dist = spec is None or spec.kind == "gaussian"
     if dist:
         x = x - x.mean(axis=0)
         nx = np.einsum("ij,ij->i", x, x)
-    out = x @ x.T
-    for i0 in range(0, x.shape[0], step):
-        blk = out[i0:i0 + step]
-        if dist:
-            blk *= -2.0
-            blk += np.add.outer(nx[i0:i0 + step], nx)
-        reference_finish(spec, blk)
-        if dist:
-            np.fill_diagonal(blk[:, i0:], 0.0 if spec is None else 1.0)
+    n = x.shape[0]
+    out = np.empty((n, n))
+    for i0 in range(0, n, tile):
+        for j0 in range(i0, n, tile):
+            xi, xj = x[i0:i0 + tile], x[j0:j0 + tile]
+            t = xi @ xi.T if j0 == i0 else xi @ xj.T
+            if dist:
+                t *= -2.0
+                t += np.add.outer(nx[i0:i0 + tile], nx[j0:j0 + tile])
+            reference_finish(spec, t)
+            if dist and j0 == i0:
+                np.fill_diagonal(t, 0.0 if spec is None else 1.0)
+            out[i0:i0 + tile, j0:j0 + tile] = t
+            out[j0:j0 + tile, i0:i0 + tile] = t.T
     return out
 
 
@@ -289,7 +299,60 @@ def test_tables_bit_equal_reference_formulas(monkeypatch, spec, offset, rows_per
     else:
         cross, self_table = kernel_matrix(spec, a, b), kernel_matrix(spec, b, b)
     assert np.array_equal(cross, reference_cross_table(spec, a, b, step))
-    assert np.array_equal(self_table, reference_self_table(spec, b, step))
+    assert np.array_equal(self_table, reference_self_table(spec, b, kernels._TILE))
+
+
+def explicit_table(spec, a, b):
+    # Kernel values from explicit differences or plain dot products.
+    if spec is None:
+        return explicit_sq_dists(a, b)
+    if spec.kind == "gaussian":
+        return np.exp(-explicit_sq_dists(a, b) / (2.0 * spec.width**2))
+    return (a @ b.T + spec.offset) ** spec.degree
+
+
+@_ALL_TABLES
+@pytest.mark.parametrize("offset", [0.0, 1e3], ids=["origin", "far"])
+def test_self_table_tile_edges(monkeypatch, spec, offset):
+    # 300 rows end in a partial tile at sides 7 and 64.  Every side gives an
+    # exactly symmetric table with an exact diagonal and bit-equal row means;
+    # sides differ only where a diagonal tile's self-product rounds an entry
+    # otherwise than the product of two row ranges, by at most 8 eps times
+    # the table's largest entry.
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((300, 7)) * 3.0 + offset
+    expected = explicit_table(spec, x, x)
+    default = kernels.gram_with_means(spec, x)[0]
+    for tile in (7, 64):
+        monkeypatch.setattr(kernels, "_TILE", tile)
+        table, means = kernels.gram_with_means(spec, x)
+        assert np.array_equal(table, table.T)
+        assert np.array_equal(means, table.mean(axis=1))
+        if spec is None:
+            assert np.array_equal(np.diag(table), np.zeros(300))
+            assert np.abs(table - expected).max() <= 1e-13 * expected.max()
+        elif spec.kind == "gaussian":
+            assert np.array_equal(np.diag(table), np.ones(300))
+            assert (np.abs(table - expected) <= 1e-13 * expected).all()
+        else:
+            assert np.abs(table - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.abs(table - default).max() <= 8 * np.finfo(float).eps * np.abs(default).max()
+
+
+def test_gram_with_means_peak_memory():
+    # The table is the only N x N array: a tile and the outer sum of its
+    # norms are the largest temporaries, with O(N D) for the prepared rows.
+    n, d = 1500, 3
+    x = np.random.default_rng(26).standard_normal((n, d))
+    spec = KernelSpec.gaussian(1.0)
+    kernels.gram_with_means(spec, x)
+    tracemalloc.start()
+    try:
+        kernels.gram_with_means(spec, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n * n + 2 * kernels._TILE**2 + 8 * n * (d + 2))
 
 
 @pytest.mark.parametrize("spec", [None, KernelSpec.gaussian(2.5)], ids=["sq_dists", "gaussian"])

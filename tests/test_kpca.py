@@ -635,8 +635,8 @@ def test_select_sigma_rejects_non_finite_data(bad):
 
 
 def test_train_col_means_are_uncentered_gram_means(monkeypatch, tmp_path):
-    # The means are taken block by block inside the self-table loop, after
-    # each block's diagonal is set; at every block size they equal the whole
+    # The means are taken stripe by stripe inside the self table's tile walk,
+    # once each stripe is complete; at every block size they equal the whole
     # table's, in the fitted model and in a loaded one.
     rng = np.random.default_rng(36)
     x = rng.standard_normal((40, 7)) * 3.0 + 1.0
@@ -678,8 +678,9 @@ def test_fit_centres_the_gram_in_place_as_center_gram_does(monkeypatch, kind,
 @_KINDS
 @pytest.mark.parametrize("n", [300, 20], ids=["krylov", "eigh"])
 def test_fit_solves_its_gram_unchecked_and_bit_identically(monkeypatch, kind, n):
-    # The fit's Gram is exactly symmetric, so the solve skips sym_eig's four
-    # reads of it; the answer is sym_eig's on the same table.
+    # The fit's uncentred Gram is exactly symmetric and its centred one
+    # symmetric to one rounding, so the solve skips sym_eig's four reads of
+    # it; the answer is sym_eig's on the same table.
     x = gen_two_spheres(SpheresParams(n=n, seed=3)).features
     spec = {"linear": KernelSpec.linear,
             "polynomial": lambda: KernelSpec.polynomial(2, 1.0),
