@@ -12,7 +12,7 @@ Conventions used throughout:
 __version__ = "0.1.0"
 
 from .eigen import EigenDecomposition, sym_eig
-from .kernels import KernelSpec, center_cross, center_gram, eval_kernel, kernel_matrix
+from .kernels import KernelSpec, center_cross, center_gram, kernel_matrix
 from .pca import PcaModel, fit_pca, fit_pca_dual, pca_project, pca_reconstruct
 from .kpca import (
     KpcaModel,
@@ -60,7 +60,6 @@ __all__ = [
     "center_cross",
     "center_gram",
     "error_rate",
-    "eval_kernel",
     "fit_kpca",
     "fit_linear",
     "fit_pca",

@@ -1,21 +1,21 @@
-"""Kernel evaluation, kernel-matrix construction, and Gram centering.
+"""Kernel specs, kernel tables, and Gram centering.
 
-Every kernel table, and the squared-distance table, is built through
+Kernel PCA needs two kinds of kernel table: the N x N table of the
+training rows with themselves, and the T x N rows of other points against
+them.  :func:`kernel_matrix` builds either.  Both come from
 :class:`PreparedRows`, the one place that knows how a table's rows are
 made: it decides once whether they are squared distances (the gaussian
-kernel and :func:`sq_dists`) or dot products (the linear and polynomial
-kernels), prepares the right-hand rows for that, and owns the raw product,
-the finishing and the loop over row blocks.  Distance rows have one
-formula, :meth:`PreparedRows.raw`, c |a - b|^2 from one product (c = 1, or
--1/(2 sigma^2) for the gaussian): cross tables, the transform, the width
-heuristic and every pre-image step take their rows from it.
+kernel) or dot products (the linear and polynomial kernels), prepares the
+right-hand rows for that, and owns the raw product, the finishing and the
+loop over row blocks.  Distance rows have one formula,
+:meth:`PreparedRows.raw`, c |a - b|^2 from one product: cross tables, the
+transform, the width heuristic and every pre-image step take their rows
+from it.
 
-Cross tables are built in row blocks of :func:`block_rows` rows, about
-2 MB each, and every elementwise step (clamp, gaussian ``exp``, polynomial
-offset and power) runs on a block while it is still in cache, not in
-separate passes over the whole table.  :func:`kernel_blocks` yields the
-finished rows of a cross table one block at a time, so a caller that
-contracts each block never holds the table.
+Cross rows come in blocks of :func:`block_rows` rows, about 2 MB each,
+and every elementwise step (clamp, gaussian ``exp``, polynomial offset
+and power) runs on a block while it is still in cache.  A caller that
+contracts each block, as the transform does, never holds the T x N table.
 
 Self tables, all built by :func:`gram_with_means`, walk their upper
 triangle in square tiles, each finished in cache and written with its
@@ -86,20 +86,6 @@ class KernelSpec:
         object.__setattr__(self, "degree", int(self.degree))
 
 
-def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate the kernel on a single pair of equal-length vectors."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if spec.kind == "linear":
-        return float(x @ y)
-    if spec.kind == "polynomial":
-        return float((x @ y + spec.offset) ** spec.degree)
-    d = x - y
-    return float(np.exp(-(d @ d) / (2.0 * spec.width**2)))
-
-
 def _as_matrix(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
@@ -115,20 +101,6 @@ def _data_matrix(x: np.ndarray) -> np.ndarray:
     if x.shape[0] < 2:
         raise ValueError(f"need at least 2 samples, got {x.shape[0]}")
     return x
-
-
-def _operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # C-contiguous float rows of equal dimension; a self call gets one array
-    # back for both, so ``a @ b.T`` stays a self-product.  numpy would copy
-    # a layout BLAS cannot read (a column-strided view) once per operand.
-    same = a is b
-    a = np.ascontiguousarray(_as_matrix(a, "a"))
-    b = a if same else np.ascontiguousarray(_as_matrix(b, "b"))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"feature dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
-    return a, b
 
 
 # Entries per block temporary (2 MB of float64).  A block of rows that each
@@ -148,10 +120,9 @@ def block_rows(n: int, d: int) -> int:
 class PreparedRows:
     """The rows ``b`` prepared once as the right-hand side of kernel rows.
 
-    ``spec`` None stands for squared distances.  ``dist`` records the one
-    decision of this module: whether the raw rows are scaled squared
-    distances c |a - b|^2 (``spec`` None, c = 1, or gaussian,
-    c = -1/(2 sigma^2)) or dot products (linear, polynomial).  For
+    ``dist`` records the one decision of this module: whether the raw rows
+    are scaled squared distances c |a - b|^2 (gaussian, c = -1/(2 sigma^2),
+    or ``spec`` None, c = 1) or dot products (linear, polynomial).  For
     distances the rows are shifted by their mean ``shift``, which leaves
     distances unchanged and removes the cancellation of |a|^2 + |b|^2 - 2ab
     for data far from the origin, and laid out once as the C-order
@@ -160,10 +131,12 @@ class PreparedRows:
     ``rows`` read the same memory and nothing is copied a second time.
     For dot products ``rows`` is ``b`` itself.
 
-    :func:`kernel_blocks`, and through it every cross table, prepares ``b``
-    once per call; :func:`gram_with_means` takes products of tiles of ``rows``;
-    the pre-image fixed point prepares the training rows once per batch and
-    calls :meth:`raw` at every step.
+    :func:`kernel_matrix` and the transform prepare ``b`` once per call and
+    finish each of its :meth:`blocks`; :func:`gram_with_means` takes
+    products of tiles of ``rows``; the pre-image fixed point prepares the
+    training rows once per batch and calls :meth:`raw` at every step.
+    ``spec`` None gives only the raw, unclamped distance rows that the
+    width heuristic reads; there is no kernel to :meth:`finish` them into.
     """
 
     def __init__(self, spec: KernelSpec | None, b: np.ndarray):
@@ -201,14 +174,12 @@ class PreparedRows:
     def finish(self, raw: np.ndarray) -> np.ndarray:
         """Finish raw rows into kernel rows in place, and return them.
 
-        Each distance kind is clamped to its sign: squared distances at 0
-        from below, gaussian exponents at 0 from above and then
-        exponentiated.  The polynomial kernel adds its offset to the dot
-        products and raises them to its degree.
+        Gaussian exponents are clamped at 0 from above, so rounding cannot
+        lift a kernel value past 1, and exponentiated.  The polynomial
+        kernel adds its offset to the dot products and raises them to its
+        degree; linear rows are already finished.
         """
-        if self.spec is None:
-            np.maximum(raw, 0.0, out=raw)
-        elif self.dist:
+        if self.spec.kind == "gaussian":
             np.minimum(raw, 0.0, out=raw)
             np.exp(raw, out=raw)
         elif self.spec.kind == "polynomial":
@@ -228,72 +199,44 @@ class PreparedRows:
             yield i0, i1, self.raw(a[i0:i1])
 
 
-def kernel_blocks(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
-    """Yield ``(i0, i1, k)``: finished kernel rows k = kernel(a[i0:i1], b).
-
-    ``b`` is prepared once as :class:`PreparedRows`, and each block of its
-    :meth:`~PreparedRows.blocks` is finished in place while it is in cache.
-    Each ``k`` is a fresh block temporary; the generator drops its block
-    before computing the next, so a caller that does the same keeps only
-    one block alive.  ``a`` and ``b`` are treated as different rows even
-    when they are the same object; :func:`kernel_matrix` builds the exactly
-    symmetric self table.
-    """
-    a, b = _operands(a, b)
-    side = PreparedRows(spec, b)
-    for i0, i1, raw in side.blocks(a):
-        yield i0, i1, side.finish(raw)
-        del raw
-
-
-def _table(spec: KernelSpec | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # The one self/cross dispatch behind kernel_matrix and sq_dists.
-    a, b = _operands(a, b)
-    if a is b:
-        return gram_with_means(spec, a)[0]
-    out = np.empty((a.shape[0], b.shape[0]))
-    for i0, i1, k in kernel_blocks(spec, a, b):
-        out[i0:i1] = k
-        del k
-    return out
-
-
-def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances: entry [i, j] = |a_i - b_j|^2.
-
-    The ``spec`` None table of :class:`PreparedRows`: both operands are
-    shifted by the mean of ``b``, and the result is clamped at 0.  It is
-    built as :func:`kernel_matrix` builds a kernel table, so the self case
-    (``a is b``) is the exactly symmetric table of :func:`gram_with_means`.
-    """
-    return _table(None, a, b)
-
-
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise kernel table: entry [i, j] = kernel(a_i, b_j).
 
     The table is the only N x M array allocated.  When ``a`` and ``b`` are
-    the same object it is built over its upper triangle in tiles that are
-    finished in cache and mirrored as they are written (see
-    :func:`gram_with_means`): exactly symmetric, with a gaussian diagonal
-    exactly 1.  Otherwise each finished row block of :func:`kernel_blocks`
-    is copied into its slice of the table.
+    the same object it is the exactly symmetric self table of
+    :func:`gram_with_means`, with a gaussian diagonal exactly 1.  Otherwise
+    ``b`` is prepared once as :class:`PreparedRows`, and each block of its
+    :meth:`~PreparedRows.blocks` of ``a`` is finished in place and copied
+    into its slice of the table.  Both operands are read as C-contiguous
+    rows, so every layout of the same values gives the same table.
     """
-    return _table(spec, a, b)
+    same = a is b
+    a = np.ascontiguousarray(_as_matrix(a, "a"))
+    if same:
+        return gram_with_means(spec, a)[0]
+    b = np.ascontiguousarray(_as_matrix(b, "b"))
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"feature dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    side = PreparedRows(spec, b)
+    out = np.empty((a.shape[0], b.shape[0]))
+    for i0, i1, raw in side.blocks(a):
+        out[i0:i1] = side.finish(raw)
+        del raw
+    return out
 
 
-def gram_with_means(spec: KernelSpec | None, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Self table of the rows ``x`` (squared distances for ``spec`` None) and its row means.
+def gram_with_means(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel table of the rows ``x`` with themselves, and its row means.
 
     The table is the only N x N array.  Each upper tile of it takes the
     product G of two ``_TILE``-row ranges of ``PreparedRows(spec, x)`` (of
     a diagonal tile's rows with themselves) and is finished in cache:
-    distances as -2 G_ij + (|x_i|^2 + |x_j|^2), a zero diagonal on diagonal
-    tiles, scaled by the c of :meth:`PreparedRows.raw`, then
-    :meth:`PreparedRows.finish`, which makes a zero gaussian exponent
-    exactly 1; it is written with its transpose.  A stripe's row means are
-    taken once it is complete, and are the column means of the exactly
-    symmetric table, all that a fitted model keeps of it.
+    gaussian exponents as c (-2 G_ij + |x_i|^2 + |x_j|^2), with the c of
+    :meth:`PreparedRows.raw` and a zero diagonal on diagonal tiles, then
+    :meth:`PreparedRows.finish`, which makes a zero exponent exactly 1; it
+    is written with its transpose.  A stripe's row means are taken once it
+    is complete, and are the column means of the exactly symmetric table,
+    all that a fitted model keeps of it.
     """
     x = np.ascontiguousarray(_as_matrix(x, "x"))
     side = PreparedRows(spec, x)

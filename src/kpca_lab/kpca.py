@@ -38,8 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import _solve
-from .kernels import (KernelSpec, PreparedRows, _data_matrix, block_rows, gram_with_means,
-                      kernel_blocks)
+from .kernels import KernelSpec, PreparedRows, _data_matrix, block_rows, gram_with_means
 
 # Components with raw centered-Gram eigenvalue <= DROP_RTOL * largest are
 # treated as numerically zero and dropped.
@@ -178,8 +177,10 @@ def kpca_transform(model: KpcaModel, q: np.ndarray) -> np.ndarray:
 
         K~ a = K a~ - 1 (c.a~).
 
-    K a~ is computed one block of :func:`kernels.kernel_blocks` rows at a
-    time, so neither K nor its centered copy is ever held whole.
+    The training rows are prepared once as ``kernels.PreparedRows(spec, x)``,
+    and K a~ is computed one finished block of its rows at a time, so
+    neither K nor its centered copy is ever held whole.  Raises
+    ``ValueError`` naming the first query row with a non-finite entry.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
@@ -188,12 +189,17 @@ def kpca_transform(model: KpcaModel, q: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {model.n_features} features, got {q.shape[1]}"
         )
+    bad = ~np.isfinite(q).all(axis=1)
+    if bad.any():
+        raise ValueError(f"query row {int(bad.argmax())} has non-finite entries")
     a = model.coefficients
     a_bar = a - a.mean(axis=0)
     y = np.empty((q.shape[0], a.shape[1]))
-    for i0, i1, k in kernel_blocks(model.spec, q, model.training):
-        np.matmul(k, a_bar, out=y[i0:i1])
-        del k
+    side = PreparedRows(model.spec, model.training)
+    # C-ordered query rows, so every layout of q gives the same features.
+    for i0, i1, raw in side.blocks(np.ascontiguousarray(q)):
+        np.matmul(side.finish(raw), a_bar, out=y[i0:i1])
+        del raw
     y -= model.train_col_means @ a_bar
     return y
 

@@ -10,15 +10,25 @@ from kpca_lab.kernels import (
     KernelSpec,
     center_cross,
     center_gram,
-    eval_kernel,
     kernel_matrix,
-    sq_dists,
 )
 from kpca_lab.kpca import select_sigma
 
 
 def explicit_sq_dists(a, b):
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+def explicit_table(spec, a, b):
+    # Kernel values from explicit differences or plain dot products.
+    if spec.kind == "gaussian":
+        return np.exp(-explicit_sq_dists(a, b) / (2.0 * spec.width**2))
+    return (a @ b.T + spec.offset) ** spec.degree
+
+
+def raw_sq_dists(a, b):
+    # The unclamped squared-distance rows the width heuristic reads.
+    return kernels.PreparedRows(None, b).raw(a)
 
 
 def test_spec_constructors_validate():
@@ -58,26 +68,24 @@ def test_spec_constructors_validate():
 
 
 def test_gaussian_same_point_is_one():
-    x = np.array([0.3, -1.2, 4.0])
-    assert eval_kernel(KernelSpec.gaussian(0.7), x, x) == 1.0
+    # As a self table and as a cross row against an equal copy.
+    x = np.array([[0.3, -1.2, 4.0]])
+    spec = KernelSpec.gaussian(0.7)
+    assert kernel_matrix(spec, x, x)[0, 0] == 1.0
+    assert kernel_matrix(spec, x, x.copy())[0, 0] == 1.0
 
 
 def test_polynomial_degree_one_is_dot_product():
-    x = np.array([1.0, 2.0, 3.0])
-    y = np.array([-1.0, 0.5, 2.0])
-    assert eval_kernel(KernelSpec.polynomial(1, 0.0), x, y) == x @ y
-    assert eval_kernel(KernelSpec.linear(), x, y) == x @ y
+    x = np.array([[1.0, 2.0, 3.0]])
+    y = np.array([[-1.0, 0.5, 2.0]])
+    assert kernel_matrix(KernelSpec.polynomial(1, 0.0), x, y)[0, 0] == x[0] @ y[0]
+    assert kernel_matrix(KernelSpec.linear(), x, y)[0, 0] == x[0] @ y[0]
 
 
 def test_gaussian_hand_value():
     # sigma=1, |x-y| = 2 -> exp(-4/2) = exp(-2)
-    v = eval_kernel(KernelSpec.gaussian(1.0), np.array([0.0]), np.array([2.0]))
+    v = kernel_matrix(KernelSpec.gaussian(1.0), np.array([[0.0]]), np.array([[2.0]]))[0, 0]
     assert v == pytest.approx(0.1353352832366127, rel=1e-12)
-
-
-def test_eval_kernel_dimension_mismatch():
-    with pytest.raises(ValueError):
-        eval_kernel(KernelSpec.linear(), np.array([1.0]), np.array([1.0, 2.0]))
 
 
 def test_kernel_matrix_single_row():
@@ -86,7 +94,7 @@ def test_kernel_matrix_single_row():
                  KernelSpec.gaussian(2.0)):
         k = kernel_matrix(spec, x, x)
         assert k.shape == (1, 1)
-        assert k[0, 0] == pytest.approx(eval_kernel(spec, x[0], x[0]))
+        assert k[0, 0] == pytest.approx(explicit_table(spec, x, x)[0, 0])
 
 
 def test_kernel_matrix_matches_double_loop():
@@ -98,8 +106,8 @@ def test_kernel_matrix_matches_double_loop():
         k = kernel_matrix(spec, a, b)
         for i in range(6):
             for j in range(4):
-                assert k[i, j] == pytest.approx(eval_kernel(spec, a[i], b[j]),
-                                                rel=1e-12, abs=1e-12)
+                expected = explicit_table(spec, a[i:i + 1], b[j:j + 1])[0, 0]
+                assert k[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_gaussian_identical_rows_all_ones():
@@ -124,31 +132,39 @@ def test_linear_self_matrix_exactly_symmetric():
     assert np.allclose(k, x @ x.T, atol=1e-12)
 
 
-@pytest.mark.parametrize("rows_per_block", [None, 1, 4])
+# Self-table tile sides, kernels._TILE, in units of 7 rows: the default
+# (256, two tiles over 300 rows), 7 rows and 28 rows.  Each ends in a
+# partial tile.
+_TILES = pytest.mark.parametrize("sevens", [None, 1, 4])
+
+
+def patch_tile(monkeypatch, sevens):
+    if sevens is not None:
+        monkeypatch.setattr(kernels, "_TILE", 7 * sevens)
+
+
+@_TILES
 @pytest.mark.parametrize("layout", ["C", "F", "row-strided", "column-strided"])
 @pytest.mark.parametrize("spec", [KernelSpec.linear(), KernelSpec.polynomial(3, 1.0),
                                   KernelSpec.gaussian(2.5)], ids=lambda s: s.kind)
-def test_self_tables_exactly_symmetric(monkeypatch, spec, layout, rows_per_block):
+def test_self_tables_exactly_symmetric(monkeypatch, spec, layout, sevens):
     # At 300 x 7, numpy 2.x multiplies a view with no unit stride through two
     # separate copies, and that product is not exactly symmetric; the
-    # self tables must be in every layout.
+    # self tables must be in every layout and at every tile side.
     rng = np.random.default_rng(20)
     x = rng.standard_normal((300, 7)) * 3.0 + 1.0
-    expected = kernel_matrix(spec, x, x), sq_dists(x, x)
+    patch_tile(monkeypatch, sevens)
+    expected = kernel_matrix(spec, x, x)
     v = {"C": x, "F": np.asfortranarray(x),
          "row-strided": np.repeat(x, 2, axis=0)[::2],
          "column-strided": np.repeat(x, 2, axis=1)[:, ::2]}[layout]
     assert np.array_equal(v, x)
-    if rows_per_block is not None:
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 300)
-    k, d2 = kernel_matrix(spec, v, v), sq_dists(v, v)
-    for table, ref in ((k, expected[0]), (d2, expected[1])):
-        assert table.shape == (300, 300)
-        assert np.array_equal(table, table.T)
-        # Blocks only split the elementwise finishing, and every layout is
-        # multiplied as the same C-ordered values: the tables are bit-equal.
-        assert np.array_equal(table, ref)
-    assert np.array_equal(np.diag(d2), np.zeros(300))
+    k = kernel_matrix(spec, v, v)
+    assert k.shape == (300, 300)
+    assert np.array_equal(k, k.T)
+    # Every layout is multiplied as the same C-ordered values: the tables
+    # are bit-equal.
+    assert np.array_equal(k, expected)
     if spec.kind == "gaussian":
         assert np.array_equal(np.diag(k), np.ones(300))
 
@@ -157,20 +173,20 @@ _BLOCKS = pytest.mark.parametrize("rows_per_block", [None, 1, 4],
                                   ids=["default", "1-row", "4-row"])
 
 
-@_BLOCKS
-def test_gaussian_self_table_is_the_two_pass_form(monkeypatch, rows_per_block):
-    # The blocked loop clamps, scales and exponentiates each block of the
-    # self table while it is in cache; the values are those of finishing the
-    # whole distance table first and scaling and exponentiating it after.
+@pytest.mark.parametrize("sevens", [None, 1, 4], ids=["default", "7-row", "28-row"])
+def test_gaussian_self_table_is_the_two_pass_form(monkeypatch, sevens):
+    # The tile loop scales, clamps and exponentiates each tile of the self
+    # table while it is in cache; the values are those of finishing the
+    # whole distance table at the same tile side first and scaling and
+    # exponentiating it after.
     rng = np.random.default_rng(21)
     x = rng.standard_normal((300, 7)) * 3.0 + 1.0
     width = 2.5
-    expected = sq_dists(x, x)
+    patch_tile(monkeypatch, sevens)
+    expected = reference_self_table(None, x, kernels._TILE)
     expected *= -1.0 / (2.0 * width**2)
     np.exp(expected, out=expected)
     np.fill_diagonal(expected, 1.0)
-    if rows_per_block is not None:
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 300)
     assert np.array_equal(kernel_matrix(KernelSpec.gaussian(width), x, x), expected)
 
 
@@ -184,15 +200,16 @@ def test_cross_kernel_matrix_matches_unblocked_form(monkeypatch, spec, rows_per_
     if rows_per_block is not None:
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 300)
     if spec.kind == "gaussian":
-        # The two-pass form: the distance table at this block size, scaled
-        # and exponentiated after it is built.
-        expected = sq_dists(a, b)
+        # The two-pass form: the raw distance rows at this block size, scaled
+        # and exponentiated after they are built.
+        expected = reference_cross_table(None, a, b, kernels.block_rows(*b.shape))
         expected *= -1.0 / (2.0 * spec.width**2)
         np.exp(expected, out=expected)
     else:
         expected = (a @ b.T + spec.offset) ** spec.degree
     k = kernel_matrix(spec, a, b)
-    blocks = list(kernels.kernel_blocks(spec, a, b))
+    side = kernels.PreparedRows(spec, b)
+    blocks = [(i0, i1, side.finish(raw)) for i0, i1, raw in side.blocks(a)]
     # The blocks tile the rows in order, and their rows are the table's.
     assert [i0 for i0, _, _ in blocks] == [0] + [i1 for _, i1, _ in blocks[:-1]]
     assert len(blocks) == -(-90 // (rows_per_block or 90))
@@ -252,9 +269,8 @@ def reference_self_table(spec, x, tile):
 def reference_cross_table(spec, a, b, step):
     # Per block of rows of a: distances from one product
     # [-2c (a - m), c |a - m|^2, c] [b - m, 1, |b - m|^2]^T with m the mean
-    # of b and c = 1 (spec None) or -1/(2 sigma^2) (gaussian), clamped to
-    # their sign, gaussian exponents then exponentiated; or the dot products
-    # a b^T, finished.
+    # of b and c = 1 (spec None, kept raw) or -1/(2 sigma^2) (gaussian,
+    # clamped at 0 and exponentiated); or the dot products a b^T, finished.
     dist = spec is None or spec.kind == "gaussian"
     if dist:
         c = 1.0 if spec is None else -1.0 / (2.0 * spec.width**2)
@@ -272,16 +288,17 @@ def reference_cross_table(spec, a, b, step):
             [-2.0 * c * ai, c * np.einsum("ij,ij->i", ai, ai), np.full(ai.shape[0], c)])
         blk = left @ right.T
         if spec is None:
-            out[i0:i0 + step] = np.maximum(blk, 0.0)
+            out[i0:i0 + step] = blk
         else:
             out[i0:i0 + step] = np.exp(np.minimum(blk, 0.0))
     return out
 
 
-_ALL_TABLES = pytest.mark.parametrize(
-    "spec", [None, KernelSpec.linear(), KernelSpec.polynomial(3, 1.0),
-             KernelSpec.gaussian(2.5)],
-    ids=["sq_dists", "linear", "polynomial", "gaussian"])
+_KERNEL_SPECS = [KernelSpec.linear(), KernelSpec.polynomial(3, 1.0), KernelSpec.gaussian(2.5)]
+_KERNELS = pytest.mark.parametrize("spec", _KERNEL_SPECS, ids=lambda s: s.kind)
+# spec None: the raw squared-distance rows the width heuristic reads.
+_ALL_TABLES = pytest.mark.parametrize("spec", [None] + _KERNEL_SPECS,
+                                      ids=["sq_dists", "linear", "polynomial", "gaussian"])
 
 
 @_BLOCKS
@@ -295,27 +312,21 @@ def test_tables_bit_equal_reference_formulas(monkeypatch, spec, offset, rows_per
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 300)
     step = kernels.block_rows(*b.shape)
     if spec is None:
-        cross, self_table = sq_dists(a, b), sq_dists(b, b)
+        # Distance rows have no table of their own, only the raw blocks.
+        cross = np.vstack([raw for _, _, raw in kernels.PreparedRows(None, b).blocks(a)])
     else:
-        cross, self_table = kernel_matrix(spec, a, b), kernel_matrix(spec, b, b)
+        cross = kernel_matrix(spec, a, b)
+        assert np.array_equal(kernel_matrix(spec, b, b),
+                              reference_self_table(spec, b, kernels._TILE))
     assert np.array_equal(cross, reference_cross_table(spec, a, b, step))
-    assert np.array_equal(self_table, reference_self_table(spec, b, kernels._TILE))
 
 
-def explicit_table(spec, a, b):
-    # Kernel values from explicit differences or plain dot products.
-    if spec is None:
-        return explicit_sq_dists(a, b)
-    if spec.kind == "gaussian":
-        return np.exp(-explicit_sq_dists(a, b) / (2.0 * spec.width**2))
-    return (a @ b.T + spec.offset) ** spec.degree
-
-
-@_ALL_TABLES
+@_KERNELS
 @pytest.mark.parametrize("offset", [0.0, 1e3], ids=["origin", "far"])
 def test_self_table_tile_edges(monkeypatch, spec, offset):
     # 300 rows end in a partial tile at sides 7 and 64.  Every side gives an
-    # exactly symmetric table with an exact diagonal and bit-equal row means;
+    # exactly symmetric table, a gaussian diagonal exactly 1 and bit-equal
+    # row means;
     # sides differ only where a diagonal tile's self-product rounds an entry
     # otherwise than the product of two row ranges, by at most 8 eps times
     # the table's largest entry.
@@ -328,10 +339,7 @@ def test_self_table_tile_edges(monkeypatch, spec, offset):
         table, means = kernels.gram_with_means(spec, x)
         assert np.array_equal(table, table.T)
         assert np.array_equal(means, table.mean(axis=1))
-        if spec is None:
-            assert np.array_equal(np.diag(table), np.zeros(300))
-            assert np.abs(table - expected).max() <= 1e-13 * expected.max()
-        elif spec.kind == "gaussian":
+        if spec.kind == "gaussian":
             assert np.array_equal(np.diag(table), np.ones(300))
             assert (np.abs(table - expected) <= 1e-13 * expected).all()
         else:
@@ -482,50 +490,51 @@ def row_pairs(draw):
 @settings(max_examples=60, deadline=None)
 @given(row_pairs())
 def test_sq_dists_matches_explicit_differences(pair):
+    # Raw rows are unclamped by design, so an entry may round below 0.
     a, b = pair
     scale = max((a * a).sum(axis=1).max(), (b * b).sum(axis=1).max())
     for x, y in ((a, b), (a, a)):
-        got = sq_dists(x, y)
+        got = raw_sq_dists(x, y)
         assert got.shape == (x.shape[0], y.shape[0])
         assert np.abs(got - explicit_sq_dists(x, y)).max() <= 1e-12 * scale
-        assert got.min() >= 0.0
 
 
 def test_sq_dists_self_case_across_blocks(monkeypatch):
+    # The width heuristic's self case: distance rows of x against itself in
+    # blocks of 4 rows (11 is not a multiple) and of 1 row.
     rng = np.random.default_rng(17)
     x = rng.standard_normal((11, 3))
     q = rng.standard_normal((5, 3))
-    full = sq_dists(x, x)
+    side = kernels.PreparedRows(None, x)
+    full = side.raw(x)
     sigma = select_sigma(x)
-    # Four rows per block: 11 is not a multiple, and the self case crosses
-    # three diagonal blocks.
-    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4 * 11)
-    blocked = sq_dists(x, x)
-    assert np.array_equal(blocked, blocked.T)
-    assert np.array_equal(np.diag(blocked), np.zeros(11))
-    assert np.allclose(blocked, full, rtol=0.0, atol=1e-13)
-    assert np.allclose(sq_dists(q, x), explicit_sq_dists(q, x), rtol=0.0, atol=1e-13)
+    for rows_per_block in (4, 1):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 11)
+        blocks = list(side.blocks(x))
+        assert len(blocks) == -(-11 // rows_per_block)
+        assert np.allclose(np.vstack([raw for _, _, raw in blocks]), full,
+                           rtol=0.0, atol=1e-13)
+        assert np.allclose(np.vstack([raw for _, _, raw in side.blocks(q)]),
+                           explicit_sq_dists(q, x), rtol=0.0, atol=1e-13)
+        assert select_sigma(x) == sigma
+    # Tiles of 4 rows: the self table crosses three diagonal tiles.
+    monkeypatch.setattr(kernels, "_TILE", 4)
     k = kernel_matrix(KernelSpec.gaussian(0.9), x, x)
     assert np.array_equal(k, k.T)
     assert np.array_equal(np.diag(k), np.ones(11))
-    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 1)  # one row per block
-    assert np.allclose(sq_dists(x, x), full, rtol=0.0, atol=1e-13)
-    assert select_sigma(x) == sigma
 
 
 def test_sq_dists_edge_shapes():
     rng = np.random.default_rng(18)
     a = rng.standard_normal((6, 4))
     one = rng.standard_normal((1, 4))
-    assert np.allclose(sq_dists(one, a), explicit_sq_dists(one, a), atol=1e-13)
-    assert np.allclose(sq_dists(a, one), explicit_sq_dists(a, one), atol=1e-13)
-    assert np.array_equal(sq_dists(one, one), np.zeros((1, 1)))
+    assert np.allclose(raw_sq_dists(one, a), explicit_sq_dists(one, a), atol=1e-13)
+    assert np.allclose(raw_sq_dists(a, one), explicit_sq_dists(a, one), atol=1e-13)
+    assert np.array_equal(raw_sq_dists(one, one), np.zeros((1, 1)))
     col = np.array([[0.0], [1.0], [3.0]])
-    assert np.allclose(sq_dists(col, col),
+    assert np.allclose(raw_sq_dists(col, col),
                        np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 4.0], [9.0, 4.0, 0.0]]),
                        rtol=0.0, atol=1e-13)
-    with pytest.raises(ValueError):
-        sq_dists(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 def test_distances_far_from_origin_match_unshifted():

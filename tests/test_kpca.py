@@ -242,6 +242,31 @@ def test_transform_dimension_mismatch():
         kpca_transform(model, np.zeros((2, 5)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_transform_rejects_non_finite_query_rows(bad):
+    model = fit_kpca(small_spheres(), KernelSpec.gaussian(1.0), 2)
+    q = small_spheres(n=4, seed=6)
+    q[2, 1] = q[3, 0] = bad
+    with pytest.raises(ValueError, match="^query row 2 has non-finite entries$"):
+        kpca_transform(model, q)
+
+
+@_KINDS
+def test_transform_query_layouts_are_bit_equal(kind):
+    # The queries are multiplied as C-ordered rows whatever their layout.
+    x = small_spheres()
+    spec = {"linear": KernelSpec.linear,
+            "polynomial": lambda: KernelSpec.polynomial(2, 1.0),
+            "gaussian": lambda: KernelSpec.gaussian(select_sigma(x))}[kind]()
+    model = fit_kpca(x, spec, 3)
+    q = small_spheres(n=30, seed=7)
+    expected = kpca_transform(model, q)
+    for view in (np.asfortranarray(q), np.repeat(q, 2, axis=1)[:, ::2]):
+        assert not view.flags.c_contiguous and np.array_equal(view, q)
+        assert np.array_equal(kpca_transform(model, view), expected)
+
+
 def test_fit_argument_errors():
     x = np.eye(3)
     with pytest.raises(ValueError):
@@ -636,13 +661,14 @@ def test_select_sigma_rejects_non_finite_data(bad):
 
 def test_train_col_means_are_uncentered_gram_means(monkeypatch, tmp_path):
     # The means are taken stripe by stripe inside the self table's tile walk,
-    # once each stripe is complete; at every block size they equal the whole
-    # table's, in the fitted model and in a loaded one.
+    # once each stripe is complete; at every tile side (one 40-row tile, or
+    # tiles of 16 and 7 rows) they equal the whole table's, in the fitted
+    # model and in a loaded one.
     rng = np.random.default_rng(36)
     x = rng.standard_normal((40, 7)) * 3.0 + 1.0
-    for rows_per_block in (None, 1, 4):
-        if rows_per_block is not None:
-            monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 40)
+    for tile in (None, 16, 7):
+        if tile is not None:
+            monkeypatch.setattr(kernels, "_TILE", tile)
         for spec in (KernelSpec.gaussian(1.2), KernelSpec.linear(),
                      KernelSpec.polynomial(2, 1.0)):
             model = fit_kpca(x, spec, 3)
