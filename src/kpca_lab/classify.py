@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _rows
+
 # Ridge applied to the normal equations; absorbs near-collinear features.
 _RIDGE = 1e-10
 
@@ -15,12 +17,6 @@ class LinearClassifier:
     """Weight vector of length M+1; the last entry is the bias."""
 
     weights: np.ndarray
-
-
-def _finite_rows(x: np.ndarray, where: str = "") -> None:
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{where}feature row {bad[0]} has non-finite entries")
 
 
 def _signs(labels: np.ndarray) -> np.ndarray:
@@ -33,13 +29,10 @@ def _signs(labels: np.ndarray) -> np.ndarray:
 
 def fit_linear(features: np.ndarray, labels: np.ndarray) -> LinearClassifier:
     """Least-squares fit of [features, 1] . w ~ labels over finite rows and +/-1 labels."""
-    x = np.asarray(features, dtype=float)
     t = _signs(labels)
-    if x.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {x.shape}")
+    x = _rows(features, "feature")
     if x.shape[0] != t.shape[0]:
         raise ValueError(f"{x.shape[0]} rows vs {t.shape[0]} labels")
-    _finite_rows(x)
     if np.unique(t).size < 2:
         raise ValueError("both classes must be present")
     a = np.hstack([x, np.ones((x.shape[0], 1))])
@@ -55,12 +48,7 @@ def predict(clf: LinearClassifier, x: np.ndarray) -> int:
 
 def predict_many(clf: LinearClassifier, x: np.ndarray) -> np.ndarray:
     """Labels for the finite rows of a feature matrix; a score of exactly zero maps to +1."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != clf.weights.shape[0] - 1:
-        raise ValueError(
-            f"expected a T x {clf.weights.shape[0] - 1} matrix, got {x.shape}"
-        )
-    _finite_rows(x)
+    x = _rows(x, "feature", clf.weights.shape[0] - 1)
     scores = x @ clf.weights[:-1] + clf.weights[-1]
     return np.where(scores >= 0.0, 1, -1)
 

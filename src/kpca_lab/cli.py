@@ -16,14 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classify import _finite_rows, error_rate, fit_linear
+from .classify import error_rate, fit_linear
 from .data import (
     SpheresParams,
     gen_two_spheres,
     read_csv_matrix,
     write_csv_matrix,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _rows
 from .kpca import (
     KpcaModel,
     PreimageConfig,
@@ -129,7 +129,7 @@ def _load_features_labels(features_path: str, labels_path: str | None,
         if labels.shape[0] != x.shape[0]:
             raise ValueError(f"{labels_path}: {labels.shape[0]} labels for the "
                              f"{x.shape[0]} rows of {features_path}")
-    return x, labels
+    return _rows(x, f"{features_path}: feature"), labels
 
 
 def cmd_gen_spheres(args) -> int:
@@ -214,7 +214,6 @@ def cmd_embed(args) -> int:
 def cmd_classify(args) -> int:
     x_train, y_train = _load_features_labels(args.train_features,
                                              args.train_labels, args.labels_col)
-    _finite_rows(x_train, f"{args.train_features}: ")
     if y_train is None:
         raise ValueError("training labels required (--train-labels or --labels-col)")
     clf = fit_linear(x_train, y_train)
@@ -223,7 +222,6 @@ def cmd_classify(args) -> int:
     if args.test_features:
         x_test, y_test = _load_features_labels(args.test_features,
                                                args.test_labels, args.labels_col)
-        _finite_rows(x_test, f"{args.test_features}: ")
         if y_test is None:
             raise ValueError("test labels required with --test-features")
         report["test_error"] = error_rate(clf, x_test, y_test)

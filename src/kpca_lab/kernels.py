@@ -23,6 +23,12 @@ transpose, so they are exactly symmetric by construction.  A diagonal tile
 is the self-product of its rows: BLAS computes one triangle and numpy
 mirrors it (numpy's loop without BLAS sums (i, j) in the order of (j, i)),
 and every later step is elementwise or adds symmetric terms.
+
+Every public function of the package that takes a matrix of rows (here
+both operands of :func:`kernel_matrix` and the centring inputs) checks it
+with :func:`_rows`: any layout is read as C-ordered float64 rows, so
+equal values give equal bits, and the first row with a NaN or +-inf entry
+is named in a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -86,18 +92,28 @@ class KernelSpec:
         object.__setattr__(self, "degree", int(self.degree))
 
 
-def _as_matrix(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    return m
+def _rows(x: np.ndarray, what: str, width: int | None = None) -> np.ndarray:
+    """``x`` as C-ordered float64 rows: the one check of every public input of rows.
+
+    It must be 2-D, with ``width`` columns when that is given, and every
+    entry finite; the error names the first row with a NaN or +-inf entry
+    as ``"{what} row i"``.  Every layout of the same values gives the same
+    rows, so the same bits downstream.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"{what} matrix must be 2-D, got shape {x.shape}")
+    if width is not None and x.shape[1] != width:
+        raise ValueError(f"{what} rows have {x.shape[1]} columns, expected {width}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{what} row {int(finite.argmin())} has non-finite entries")
+    return x
 
 
 def _data_matrix(x: np.ndarray) -> np.ndarray:
-    # The checks every fit and the width heuristic make on their samples.
-    x = _as_matrix(x, "data matrix")
-    if not np.isfinite(x).all():
-        raise ValueError("data matrix contains non-finite entries")
+    # The rows every fit and the width heuristic read: at least two of them.
+    x = _rows(x, "data")
     if x.shape[0] < 2:
         raise ValueError(f"need at least 2 samples, got {x.shape[0]}")
     return x
@@ -207,16 +223,14 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     :func:`gram_with_means`, with a gaussian diagonal exactly 1.  Otherwise
     ``b`` is prepared once as :class:`PreparedRows`, and each block of its
     :meth:`~PreparedRows.blocks` of ``a`` is finished in place and copied
-    into its slice of the table.  Both operands are read as C-contiguous
-    rows, so every layout of the same values gives the same table.
+    into its slice of the table.  Both operands are checked by
+    :func:`_rows` as ``a`` and ``b``; ``b`` must have the width of ``a``.
     """
     same = a is b
-    a = np.ascontiguousarray(_as_matrix(a, "a"))
+    a = _rows(a, "a")
     if same:
         return gram_with_means(spec, a)[0]
-    b = np.ascontiguousarray(_as_matrix(b, "b"))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"feature dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    b = _rows(b, "b", a.shape[1])
     side = PreparedRows(spec, b)
     out = np.empty((a.shape[0], b.shape[0]))
     for i0, i1, raw in side.blocks(a):
@@ -236,9 +250,10 @@ def gram_with_means(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.nda
     :meth:`PreparedRows.finish`, which makes a zero exponent exactly 1; it
     is written with its transpose.  A stripe's row means are taken once it
     is complete, and are the column means of the exactly symmetric table,
-    all that a fitted model keeps of it.
+    all that a fitted model keeps of it.  Its callers check ``x`` with
+    :func:`_rows`, so it is not checked again here.
     """
-    x = np.ascontiguousarray(_as_matrix(x, "x"))
+    x = np.ascontiguousarray(x, dtype=float)
     side = PreparedRows(spec, x)
     n = x.shape[0]
     out = np.empty((n, n))
@@ -272,7 +287,7 @@ def center_gram(k: np.ndarray) -> np.ndarray:
     the same order, in place on its kernel matrix one row block at a time,
     so its result is bit-identical; it does not call this.
     """
-    k = _as_matrix(k, "k")
+    k = _rows(k, "k")
     if k.shape[0] != k.shape[1]:
         raise ValueError(f"center_gram needs a square matrix, got {k.shape}")
     r = k.mean(axis=1)
@@ -297,17 +312,12 @@ def center_cross(k_test: np.ndarray, col_means: np.ndarray) -> np.ndarray:
     its product with the coefficients, one block of kernel rows at a time,
     so no T x N block exists there; it does not call this.
     """
-    k_test = _as_matrix(k_test, "k_test")
     col_means = np.asarray(col_means, dtype=float)
     if col_means.ndim != 1:
         raise ValueError(
             f"col_means must be 1-D, got shape {col_means.shape}"
         )
-    n = col_means.shape[0]
-    if k_test.shape[1] != n:
-        raise ValueError(
-            f"k_test has {k_test.shape[1]} columns, expected {n}"
-        )
+    k_test = _rows(k_test, "k_test", col_means.shape[0])
     grand = col_means.mean()
     row_means = k_test.mean(axis=1)
     return k_test - col_means[None, :] - row_means[:, None] + grand

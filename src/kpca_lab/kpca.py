@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import _solve
-from .kernels import KernelSpec, PreparedRows, _data_matrix, block_rows, gram_with_means
+from .kernels import KernelSpec, PreparedRows, _data_matrix, _rows, block_rows, gram_with_means
 
 # Components with raw centered-Gram eigenvalue <= DROP_RTOL * largest are
 # treated as numerically zero and dropped.
@@ -179,25 +179,15 @@ def kpca_transform(model: KpcaModel, q: np.ndarray) -> np.ndarray:
 
     The training rows are prepared once as ``kernels.PreparedRows(spec, x)``,
     and K a~ is computed one finished block of its rows at a time, so
-    neither K nor its centered copy is ever held whole.  Raises
-    ``ValueError`` naming the first query row with a non-finite entry.
+    neither K nor its centered copy is ever held whole.  The queries are
+    checked as ``query`` rows of the training width by ``kernels._rows``.
     """
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2:
-        raise ValueError(f"query matrix must be 2-D, got shape {q.shape}")
-    if q.shape[1] != model.n_features:
-        raise ValueError(
-            f"expected {model.n_features} features, got {q.shape[1]}"
-        )
-    bad = ~np.isfinite(q).all(axis=1)
-    if bad.any():
-        raise ValueError(f"query row {int(bad.argmax())} has non-finite entries")
+    q = _rows(q, "query", model.n_features)
     a = model.coefficients
     a_bar = a - a.mean(axis=0)
     y = np.empty((q.shape[0], a.shape[1]))
     side = PreparedRows(model.spec, model.training)
-    # C-ordered query rows, so every layout of q gives the same features.
-    for i0, i1, raw in side.blocks(np.ascontiguousarray(q)):
+    for i0, i1, raw in side.blocks(q):
         np.matmul(side.finish(raw), a_bar, out=y[i0:i1])
         del raw
     y -= model.train_col_means @ a_bar
@@ -240,8 +230,8 @@ def kpca_preimages(
     the denominator.  They stay two products: at N = 1000 and D = 3, one
     product with [x, 1] leaves OpenBLAS's small-matrix path and touches
     about 0.4 MB more of each BLAS thread's buffer.
-    Raises :class:`UnsupportedKernelError` for non-gaussian models and
-    ``ValueError`` naming the first feature row with a non-finite entry.
+    Raises :class:`UnsupportedKernelError` for non-gaussian models; the
+    rows are checked as ``feature`` rows by ``kernels._rows``.
     """
     if model.spec.kind != "gaussian":
         raise UnsupportedKernelError(
@@ -249,12 +239,7 @@ def kpca_preimages(
             f"model uses {model.spec.kind!r}"
         )
     cfg = cfg or PreimageConfig()
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 2:
-        raise ValueError(f"feature rows must be 2-D, got shape {ys.shape}")
-    bad = ~np.isfinite(ys).all(axis=1)
-    if bad.any():
-        raise ValueError(f"feature row {int(bad.argmax())} has non-finite entries")
+    ys = _rows(ys, "feature")
     x = model.training
     side = PreparedRows(model.spec, x)
     ones = np.ones(x.shape[0])

@@ -139,14 +139,23 @@ def test_embed_missing_input(tmp_path, capsys):
 @pytest.mark.parametrize("sigma", ["auto", "1"])
 def test_embed_rejects_non_finite_cells(tmp_path, capsys, cell, sigma):
     data = gen_spheres(tmp_path, n=20)
-    rows = (data / "features.csv").read_text().splitlines()
+    clean = (data / "features.csv").read_text().splitlines()
+    rows = list(clean)
     rows[3] = ",".join([cell] + rows[3].split(",")[1:])
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(rows) + "\n")
     out = tmp_path / "out"
     assert main(["embed", "--method", "kpca", "--sigma", sigma,
                  "--input", str(bad), "--out", str(out)]) == 1
-    assert "error: data matrix contains non-finite entries" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad}: feature row 3 has non-finite entries\n"
+    assert not (out / "manifest.json").exists()
+    # The rows are checked after the label column is taken out, so the same
+    # cell in that column is a label error.
+    labeled = tmp_path / "labeled.csv"
+    labeled.write_text("".join(f"{cell if i == 3 else 1},{row}\n" for i, row in enumerate(clean)))
+    assert main(["embed", "--method", "kpca", "--sigma", sigma, "--labels-col", "0",
+                 "--input", str(labeled), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {labeled}: label row 3 is {cell}, not an integer\n"
     assert not (out / "manifest.json").exists()
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kpca_lab import eigen, kernels, kpca
+from kpca_lab.classify import LinearClassifier, fit_linear, predict_many
 from kpca_lab.eigen import sym_eig
 from kpca_lab.data import SpheresParams, gen_two_spheres
 from kpca_lab.kernels import KernelSpec, center_cross, center_gram, kernel_matrix
@@ -20,7 +21,7 @@ from kpca_lab.kpca import (
     select_sigma,
 )
 from kpca_lab.model_io import load_model, save_model
-from kpca_lab.pca import fit_pca, pca_project
+from kpca_lab.pca import fit_pca, fit_pca_dual, pca_project
 
 
 _KINDS = pytest.mark.parametrize("kind", ["linear", "polynomial", "gaussian"])
@@ -265,6 +266,37 @@ def test_transform_query_layouts_are_bit_equal(kind):
     for view in (np.asfortranarray(q), np.repeat(q, 2, axis=1)[:, ::2]):
         assert not view.flags.c_contiguous and np.array_equal(view, q)
         assert np.array_equal(kpca_transform(model, view), expected)
+
+
+def fitted_arrays(result):
+    """The array fields of a fitted model, or a float result as itself."""
+    if isinstance(result, float):
+        return [result]
+    return [v for v in vars(result).values() if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("entry", ["select_sigma", "fit_pca", "fit_pca-dual", "fit_kpca",
+                                   "fit_linear"])
+def test_fit_layouts_are_bit_equal(entry):
+    # Every fit reads its rows as C-ordered float64, whatever their layout.
+    # fit_pca-dual takes the D > N route through the dual Gram.
+    spheres = gen_two_spheres(SpheresParams(n=300, seed=1))
+    x = spheres.features
+    if entry == "fit_pca-dual":
+        x = np.random.default_rng(9).standard_normal((40, 120)) * 3.0 + 1.0
+    fit = {
+        "select_sigma": select_sigma,
+        "fit_pca": lambda v: fit_pca(v, 2),
+        "fit_pca-dual": lambda v: fit_pca(v, 5),
+        "fit_kpca": lambda v: fit_kpca(v, KernelSpec.gaussian(1.5), 3),
+        "fit_linear": lambda v: fit_linear(v, spheres.labels),
+    }[entry]
+    expected = fitted_arrays(fit(x))
+    for view in (np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]):
+        assert not view.flags.c_contiguous and np.array_equal(view, x)
+        got = fitted_arrays(fit(view))
+        assert len(got) == len(expected)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
 def test_fit_argument_errors():
@@ -650,13 +682,33 @@ def test_select_sigma_needs_two_rows():
         select_sigma(np.array([[1.0, 2.0]]))
 
 
+# Entry points that read a matrix of rows, each as (what its error names,
+# a call on the rows x of small_spheres()).  select_sigma's cases keep the
+# bare ids of the non-finite values.
+_ROW_ENTRIES = {
+    "select_sigma": ("data", select_sigma),
+    "fit_kpca": ("data", lambda x: fit_kpca(x, KernelSpec.gaussian(1.0), 2)),
+    "fit_pca": ("data", lambda x: fit_pca(x, 2)),
+    "fit_pca_dual": ("data", lambda x: fit_pca_dual(x, 2)),
+    "kernel_matrix-a": ("a", lambda x: kernel_matrix(KernelSpec.linear(), x, small_spheres(4))),
+    "kernel_matrix-b": ("b", lambda x: kernel_matrix(KernelSpec.linear(), small_spheres(4), x)),
+    "predict_many": ("feature", lambda x: predict_many(LinearClassifier(np.ones(4)), x)),
+}
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_select_sigma_rejects_non_finite_data(bad):
+@pytest.mark.parametrize("entry, bad", [
+    pytest.param(entry, bad, id=name if entry == "select_sigma" else f"{entry}-{name}")
+    for entry in _ROW_ENTRIES
+    for name, bad in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf))])
+def test_select_sigma_rejects_non_finite_data(entry, bad):
     x = small_spheres()
     x[7, 1] = bad
-    with pytest.raises(ValueError, match="data matrix contains non-finite entries"):
-        select_sigma(x)
+    x[9, 0] = np.nan
+    what, call = _ROW_ENTRIES[entry]
+    # One wording at every entry point, naming the first bad row.
+    with pytest.raises(ValueError, match=f"^{what} row 7 has non-finite entries$"):
+        call(x)
 
 
 def test_train_col_means_are_uncentered_gram_means(monkeypatch, tmp_path):
