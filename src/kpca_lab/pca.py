@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import _sign_columns, sym_eig
-from .kernels import _data_matrix
+from .kernels import _data_matrix, _rows
 
 # Relative cutoff below which a dual-Gram eigenvalue counts as zero rank.
 _RANK_RTOL = 1e-12
@@ -45,18 +45,18 @@ def _validate_fit_args(x: np.ndarray, m: int) -> np.ndarray:
 def fit_pca(x: np.ndarray, m: int) -> PcaModel:
     """Fit PCA from the D x D sample covariance, or for D > N by :func:`fit_pca_dual`.
 
-    The route is chosen here, not by callers.  Eigenvalues are the top M of
-    the covariance (tiny negative round-off is clamped to zero).  A
-    degenerate dataset (all rows identical) yields a model with zero
-    eigenvalues rather than an error.
+    The route is chosen from the shape of ``x``, not by callers; each route
+    checks the rows once.  Eigenvalues are the top M of the covariance (tiny
+    negative round-off is clamped to zero).  A degenerate dataset (all rows
+    identical) yields a model with zero eigenvalues rather than an error.
     """
-    x = _validate_fit_args(x, m)
-    n, d = x.shape
-    if d > n:
+    shape = np.shape(x)
+    if len(shape) == 2 and shape[1] > shape[0]:
         return fit_pca_dual(x, m)
+    x = _validate_fit_args(x, m)
     mean = x.mean(axis=0)
     xc = x - mean
-    dec = sym_eig(xc.T @ xc / n)
+    dec = sym_eig(xc.T @ xc / len(x))
     return PcaModel(mean=mean, basis=dec.vectors[:, :m].copy(),
                     eigenvalues=np.maximum(dec.values[:m], 0.0))
 
@@ -99,23 +99,17 @@ def _complete_column(basis: np.ndarray) -> np.ndarray:
 
 
 def pca_project(model: PcaModel, x: np.ndarray) -> np.ndarray:
-    """Project one D-vector (or a T x D batch) onto the principal components.
+    """Project T x D ``query`` rows (or one D-vector, to an M-vector) onto the components.
 
     The model mean is subtracted first, so projecting the mean gives zeros.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.n_features:
-        raise ValueError(
-            f"expected {model.n_features} features, got {x.shape[-1]}"
-        )
-    return (x - model.mean) @ model.basis
+    q = _rows(np.atleast_2d(x), "query", model.n_features)
+    y = (q - model.mean) @ model.basis
+    return y[0] if np.ndim(x) == 1 else y
 
 
 def pca_reconstruct(model: PcaModel, y: np.ndarray) -> np.ndarray:
-    """Map an M-vector of component weights (or a T x M batch) back to data space."""
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != model.n_components:
-        raise ValueError(
-            f"expected {model.n_components} components, got {y.shape[-1]}"
-        )
-    return y @ model.basis.T + model.mean
+    """Map T x M ``weight`` rows (or one M-vector) of component weights to data space."""
+    b = _rows(np.atleast_2d(y), "weight", model.n_components)
+    x = b @ model.basis.T + model.mean
+    return x[0] if np.ndim(y) == 1 else x

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import pca
+from .kernels import _rows
 from .kpca import KpcaModel, PreimageConfig, kpca_preimages
 
 
@@ -118,30 +119,20 @@ def normalize_shapes(shapes: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def fit_shape_model(shapes: Sequence[np.ndarray], t: int) -> pca.PcaModel:
-    """PCA deformation model of the S x 2n shape matrix; :func:`pca.fit_pca` picks the route."""
-    if len(shapes) < 2:
-        raise ValueError("need at least 2 shapes")
-    n = shapes[0].size
-    for idx, s in enumerate(shapes):
-        if s.size != n:
-            raise ValueError(f"shape {idx} has {s.size // 2} points, expected {n // 2}")
-    return pca.fit_pca(np.vstack(shapes), t)
+    """The :func:`pca.fit_pca` model of the S x 2n matrix of :func:`normalize_shapes`."""
+    return pca.fit_pca(shapes, t)
 
 
 def clamp_deformation(model: pca.PcaModel, b: np.ndarray) -> np.ndarray:
-    """Clip each weight into [-3 sqrt(lambda_k), +3 sqrt(lambda_k)]."""
+    """Clip ``weight`` rows (or one M-vector) into [-3 sqrt(lambda_k), +3 sqrt(lambda_k)]."""
     limit = 3.0 * np.sqrt(model.eigenvalues)
-    return np.clip(np.asarray(b, dtype=float), -limit, limit)
+    w = _rows(np.atleast_2d(b), "weight", model.n_components)
+    return np.clip(w[0] if np.ndim(b) == 1 else w, -limit, limit)
 
 
 def synthesize(model: pca.PcaModel, b: np.ndarray, clamp: bool = False) -> np.ndarray:
-    """Shape for deformation weights b: mean + basis . b, optionally clamped."""
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != model.n_components:
-        raise ValueError(f"expected {model.n_components} weights, got {b.shape[0]}")
-    if clamp:
-        b = clamp_deformation(model, b)
-    return pca.pca_reconstruct(model, b)
+    """Shape for ``weight`` rows b: mean + basis . b, optionally clamped first."""
+    return pca.pca_reconstruct(model, clamp_deformation(model, b) if clamp else b)
 
 
 # Sweep settings shared by ``kpca-lab asm-sweep`` and scripts/run_asm_sweeps.py:

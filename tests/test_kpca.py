@@ -21,7 +21,8 @@ from kpca_lab.kpca import (
     select_sigma,
 )
 from kpca_lab.model_io import load_model, save_model
-from kpca_lab.pca import fit_pca, fit_pca_dual, pca_project
+from kpca_lab.pca import fit_pca, fit_pca_dual, pca_project, pca_reconstruct
+from kpca_lab.shapes import clamp_deformation
 
 
 _KINDS = pytest.mark.parametrize("kind", ["linear", "polynomial", "gaussian"])
@@ -682,9 +683,14 @@ def test_select_sigma_needs_two_rows():
         select_sigma(np.array([[1.0, 2.0]]))
 
 
+def _small_pca():
+    return fit_pca(small_spheres(), 2)
+
+
 # Entry points that read a matrix of rows, each as (what its error names,
 # a call on the rows x of small_spheres()).  select_sigma's cases keep the
-# bare ids of the non-finite values.
+# bare ids of the non-finite values.  A "-vector" entry passes row 7 alone,
+# which is one row, so its error names row 0.
 _ROW_ENTRIES = {
     "select_sigma": ("data", select_sigma),
     "fit_kpca": ("data", lambda x: fit_kpca(x, KernelSpec.gaussian(1.0), 2)),
@@ -693,6 +699,10 @@ _ROW_ENTRIES = {
     "kernel_matrix-a": ("a", lambda x: kernel_matrix(KernelSpec.linear(), x, small_spheres(4))),
     "kernel_matrix-b": ("b", lambda x: kernel_matrix(KernelSpec.linear(), small_spheres(4), x)),
     "predict_many": ("feature", lambda x: predict_many(LinearClassifier(np.ones(4)), x)),
+    "pca_project": ("query", lambda x: pca_project(_small_pca(), x)),
+    "pca_project-vector": ("query", lambda x: pca_project(_small_pca(), x[7])),
+    "pca_reconstruct": ("weight", lambda x: pca_reconstruct(_small_pca(), x[:, :2])),
+    "clamp_deformation": ("weight", lambda x: clamp_deformation(_small_pca(), x[:, :2])),
 }
 
 
@@ -706,8 +716,9 @@ def test_select_sigma_rejects_non_finite_data(entry, bad):
     x[7, 1] = bad
     x[9, 0] = np.nan
     what, call = _ROW_ENTRIES[entry]
+    row = 0 if entry.endswith("-vector") else 7
     # One wording at every entry point, naming the first bad row.
-    with pytest.raises(ValueError, match=f"^{what} row 7 has non-finite entries$"):
+    with pytest.raises(ValueError, match=f"^{what} row {row} has non-finite entries$"):
         call(x)
 
 

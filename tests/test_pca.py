@@ -3,7 +3,7 @@ import pytest
 
 from kpca_lab import pca
 from kpca_lab.eigen import sym_eig
-from kpca_lab.kernels import KernelSpec, kernel_matrix
+from kpca_lab.kernels import KernelSpec, _data_matrix, kernel_matrix
 from kpca_lab.pca import fit_pca, fit_pca_dual, pca_project, pca_reconstruct
 
 TWO_POINTS = np.array([[0.0, 0.0], [2.0, 0.0]])
@@ -166,6 +166,21 @@ def test_fit_pca_takes_the_dual_route_for_wide_data(shape, m):
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
+@pytest.mark.parametrize("shape", [(40, 5), (10, 200)])
+def test_fit_pca_checks_its_rows_once(monkeypatch, shape):
+    # The route is taken from the shape, so the D > N route checks the rows
+    # only inside fit_pca_dual.
+    calls = []
+
+    def spy(x):
+        calls.append(x)
+        return _data_matrix(x)
+
+    monkeypatch.setattr(pca, "_data_matrix", spy)
+    fit_pca(np.random.default_rng(31).standard_normal(shape), 3)
+    assert len(calls) == 1
+
+
 def test_dual_rank_one():
     direction = np.array([1.0, 2.0, 2.0]) / 3.0
     x = np.outer([0.0, 1.0, 2.0, 3.0], direction)
@@ -190,5 +205,28 @@ def test_batch_project_matches_single():
     x = rng.standard_normal((8, 4))
     model = fit_pca(x, 2)
     batch = pca_project(model, x)
+    rebuilt = pca_reconstruct(model, batch)
+    # A vector gives a vector.  It is not bit-equal to its batch row: numpy
+    # hands one row and a batch to different BLAS kernels, which may sum in
+    # another order, so the rows agree to a few ulp.
     for i in range(8):
-        assert np.allclose(batch[i], pca_project(model, x[i]))
+        single = pca_project(model, x[i])
+        assert single.shape == (2,)
+        assert np.allclose(batch[i], single, rtol=0.0, atol=1e-13)
+        single = pca_reconstruct(model, batch[i])
+        assert single.shape == (4,)
+        assert np.allclose(rebuilt[i], single, rtol=0.0, atol=1e-13)
+
+
+def test_project_and_reconstruct_layouts_are_bit_equal():
+    # Query and weight rows are multiplied as C-ordered rows whatever their
+    # layout, as the fits and the kernel transform read theirs.
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((80, 300)) + 2.0
+    model = fit_pca(x, 9)
+    y = pca_project(model, x)
+    rebuilt = pca_reconstruct(model, y)
+    for rows, call, expected in ((x, pca_project, y), (y, pca_reconstruct, rebuilt)):
+        for view in (np.asfortranarray(rows), np.repeat(rows, 2, axis=1)[:, ::2]):
+            assert not view.flags.c_contiguous and np.array_equal(view, rows)
+            assert np.array_equal(call(model, view), expected)

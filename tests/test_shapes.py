@@ -156,14 +156,17 @@ def test_clamp_limits():
     model = fit_shape_model(shapes, 3)
     big = 10.0 * np.sqrt(model.eigenvalues)
     clamped = clamp_deformation(model, big)
+    assert clamped.shape == (3,)
     assert np.allclose(clamped, 3.0 * np.sqrt(model.eigenvalues))
     assert np.array_equal(
         synthesize(model, big, clamp=True),
         synthesize(model, 3.0 * np.sqrt(model.eigenvalues)),
     )
     # one weight would broadcast against the three limits; it must not
-    with pytest.raises(ValueError, match="expected 3 weights, got 1"):
+    with pytest.raises(ValueError, match="weight rows have 1 columns, expected 3"):
         synthesize(model, [1.0], clamp=True)
+    with pytest.raises(ValueError, match="^weight rows have 1 columns, expected 3$"):
+        clamp_deformation(model, [1.0])
 
 
 def test_pca_sweep_three_steps():
