@@ -17,14 +17,16 @@ gamma_i = sum_k y_k a_ki are adjusted to g_i = gamma_i - mean(gamma) + 1/N;
 this accounts for the implicit feature mean and keeps pre-images anchored to
 the data region.
 
-:func:`kpca_preimages` iterates a batch of rows; the training rows are
-prepared once per batch as ``kernels.PreparedRows(spec, x)``, the object
-behind every kernel table.  Each step then makes five passes over its rows
-of N weights: one product gives the exponents -|z - x_i|^2 / (2 sigma^2)
+:func:`kpca_preimages` iterates a batch of rows in one window of slots:
+when a row finishes, its slot takes the next waiting row, so the window
+stays full while rows wait.  The training rows are prepared once per batch
+as ``kernels.PreparedRows(spec, x)``, the object behind every kernel table.
+Each step then makes four passes over the window's rows of N weights: one
+product gives the exponents -|z - x_i|^2 / (2 sigma^2)
 (:meth:`kernels.PreparedRows.raw`, the row formula the transform and every
-gaussian kernel table use), ``exp`` runs in place, the g_i multiply them, a
-product with x gives the numerator and a product with the ones vector the
-denominator.  The kernel values are those of ``kernel_matrix(spec, z, x)``
+gaussian kernel table use), ``exp`` runs in place, the g_i multiply them,
+and one product with [x, 1] gives the numerator and the denominator
+together.  The kernel values are those of ``kernel_matrix(spec, z, x)``
 except that their exponents are not clamped at 0.  It returns a
 :class:`Preimages` record; :func:`kpca_preimage` is its row 0, and also
 reports ``"diverged"`` as a status, not as an exception.
@@ -194,21 +196,24 @@ def kpca_transform(model: KpcaModel, q: np.ndarray) -> np.ndarray:
     return y
 
 
+def _weights(model: KpcaModel, y: np.ndarray) -> np.ndarray:
+    # The weights of checked T x M rows: one T x N array, adjusted in place.
+    g = y @ model.coefficients.T
+    g -= g.mean(axis=1, keepdims=True)
+    g += 1.0 / model.n_samples
+    return g
+
+
 def preimage_weights(model: KpcaModel, y: np.ndarray) -> np.ndarray:
     """Centering-adjusted pre-image weights for a feature vector or T x M rows.
 
     gamma_i = sum_k y_k a_ki, shifted by -mean(gamma) + 1/N to account for
     the centered fit (see module docstring); one row of N weights per row of
-    ``y``, or N weights for a vector.
+    ``y``, or N weights for a vector.  The rows are checked as ``feature``
+    rows of the model's M by ``kernels._rows``.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] != model.n_components:
-        raise ValueError(
-            f"expected {model.n_components} feature values per row, "
-            f"got shape {y.shape}"
-        )
-    gamma = y @ model.coefficients.T
-    return gamma - gamma.mean(axis=-1, keepdims=True) + 1.0 / model.n_samples
+    w = _weights(model, _rows(np.atleast_2d(y), "feature", model.n_components))
+    return w[0] if np.ndim(y) == 1 else w
 
 
 def kpca_preimages(
@@ -219,19 +224,22 @@ def kpca_preimages(
     Every row starts at the training mean.  A row is ``"converged"`` once
     its step norm drops below ``cfg.tolerance``, ``"diverged"`` when its
     gaussian weight mass is lost (``z`` keeps that iterate) and
-    ``"max-iterations"`` otherwise.  Finished rows leave the batch, so no
-    row's iterations depend on the others.
-    Rows run in chunks of :func:`kernels.block_rows`, which keeps each
-    chunk x N temporary near 2 MB.  The training rows are prepared once as
-    ``kernels.PreparedRows(model.spec, x)``.  Each step takes the chunk's
-    exponents from one product (:meth:`~kernels.PreparedRows.raw`),
-    exponentiates them in place, unclamped, and multiplies in the weights;
-    products with x and with the ones vector then give the numerator and
-    the denominator.  They stay two products: at N = 1000 and D = 3, one
-    product with [x, 1] leaves OpenBLAS's small-matrix path and touches
-    about 0.4 MB more of each BLAS thread's buffer.
+    ``"max-iterations"`` otherwise.  Each row keeps its own step count, so
+    no row's iterations depend on the others.
+    Rows are stepped in one window of :func:`kernels.block_rows` slots,
+    which keeps each window x N array near 2 MB.  A slot holds its row's
+    index, iterate, step count and weights.  When a row finishes, its
+    result is written out and its slot takes the next waiting row, or,
+    once none waits, the row of the last live slot, so the window stays
+    full and only moved rows are copied.  The training rows are prepared
+    once as ``kernels.PreparedRows(model.spec, x)``.  Each step takes the
+    window's exponents from one product (:meth:`~kernels.PreparedRows.raw`),
+    exponentiates them in place, unclamped, multiplies in the weights, and
+    gets the numerator and the denominator from one product with [x, 1];
+    only rows with a valid denominator are divided.
     Raises :class:`UnsupportedKernelError` for non-gaussian models; the
-    rows are checked as ``feature`` rows by ``kernels._rows``.
+    rows are checked as ``feature`` rows of the model's M by
+    ``kernels._rows`` before the first step.
     """
     if model.spec.kind != "gaussian":
         raise UnsupportedKernelError(
@@ -239,38 +247,65 @@ def kpca_preimages(
             f"model uses {model.spec.kind!r}"
         )
     cfg = cfg or PreimageConfig()
-    ys = _rows(ys, "feature")
+    ys = _rows(ys, "feature", model.n_components)
     x = model.training
+    n, d = x.shape
     side = PreparedRows(model.spec, x)
-    ones = np.ones(x.shape[0])
+    x1 = np.hstack([x, np.ones((n, 1))])
+    start = x.mean(axis=0)
     t = ys.shape[0]
-    z = np.tile(x.mean(axis=0), (t, 1))
+    z = np.empty((t, d))
     iterations = np.zeros(t, dtype=int)
     status = np.full(t, "max-iterations")
-    chunk = block_rows(*x.shape)
-    for c0 in range(0, t, chunk):
-        active = np.arange(c0, min(c0 + chunk, t))
-        weights = preimage_weights(model, ys[active])
-        for iteration in range(1, cfg.max_iterations + 1):
-            z_active = z[active]
-            w = side.raw(z_active)
-            np.exp(w, out=w)
-            w *= weights
-            num = w @ x
-            denom = w @ ones
-            iterations[active] = iteration
-            ok = np.isfinite(denom) & (np.abs(denom) >= _DENOM_FLOOR)
-            if not ok.all():
-                status[active[~ok]] = "diverged"
-                active, weights, z_active, num, denom = (
-                    v[ok] for v in (active, weights, z_active, num, denom))
-            z_next = num / denom[:, None]
-            done = np.linalg.norm(z_next - z_active, axis=1) < cfg.tolerance
-            z[active] = z_next
-            status[active[done]] = "converged"
-            active, weights = active[~done], weights[~done]
-            if not active.size:
-                break
+    # The window: slots [0, live) hold rows; rows [queued, t) wait.
+    live = queued = min(block_rows(n, d), t)
+    slot_row = np.arange(live)
+    slot_z = np.tile(start, (live, 1))
+    slot_steps = np.zeros(live, dtype=int)
+    slot_w = _weights(model, ys[:live])
+    while live:
+        z_live = slot_z[:live]
+        w = side.raw(z_live)
+        np.exp(w, out=w)
+        w *= slot_w[:live]
+        nd = w @ x1
+        del w  # so a refill's weights are the only other window x N array
+        steps = slot_steps[:live]
+        steps += 1
+        num, denom = nd[:, :d], nd[:, d]
+        ok = np.isfinite(denom) & (np.abs(denom) >= _DENOM_FLOOR)
+        np.divide(num, denom[:, None], out=num, where=ok[:, None])
+        sq = num - z_live
+        sq *= sq
+        done = np.sqrt(sq.sum(axis=1)) < cfg.tolerance  # the step norm
+        done &= ok
+        np.copyto(z_live, num, where=ok[:, None])
+        ended = (~ok | done | (steps == cfg.max_iterations)).nonzero()[0]
+        if not ended.size:
+            continue
+        rows = slot_row[ended]
+        z[rows] = z_live[ended]
+        iterations[rows] = steps[ended]
+        status[rows[~ok[ended]]] = "diverged"
+        status[rows[done[ended]]] = "converged"
+        k = min(ended.size, t - queued)
+        refill, holes = ended[:k], ended[k:]
+        if k:
+            slot_row[refill] = np.arange(queued, queued + k)
+            slot_z[refill] = start
+            slot_steps[refill] = 0
+            slot_w[refill] = _weights(model, ys[queued:queued + k])
+            queued += k
+        if holes.size:
+            # The lowest holes take the last live slots that did not end,
+            # the last first.
+            live -= holes.size
+            kept = np.ones(holes.size, dtype=bool)
+            kept[holes[holes >= live] - live] = False
+            moved = live + kept.nonzero()[0][::-1]
+            holes = holes[:moved.size]
+            for a in (slot_row, slot_z, slot_steps, slot_w):
+                a[holes] = a[moved]
     return Preimages(z, iterations, status)
 
 

@@ -369,7 +369,7 @@ def test_preimage_model_kind_errors_name_the_model(tmp_path, capsys, embed, mess
 
 @pytest.mark.parametrize("rows, message", [
     ("0.1,0.2\nnan,0.1\n", "feature row 1 has non-finite entries"),
-    ("0.1,0.2,0.3\n", "expected 2 feature values per row, got shape (1, 3)"),
+    ("0.1,0.2,0.3\n", "feature rows have 3 columns, expected 2"),
 ], ids=["nan-row", "row-width"])
 def test_preimage_row_errors_name_the_input(tmp_path, capsys, rows, message):
     data = gen_spheres(tmp_path, n=20)

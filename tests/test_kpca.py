@@ -392,6 +392,10 @@ def test_preimages_reject_non_finite_feature_rows(bad):
         kpca_preimages(model, y)
     with pytest.raises(ValueError, match="feature row 0 has non-finite entries"):
         kpca_preimage(model, y[2])
+    # The width is checked before the first step too, in the row rule's words.
+    for call in (kpca_preimages, preimage_weights):
+        with pytest.raises(ValueError, match="^feature rows have 2 columns, expected 3$"):
+            call(model, y[:, :2])
 
 
 def reference_preimage(model, y, cfg):
@@ -454,52 +458,67 @@ def kernel_table_preimages(model, ys, cfg):
 
 
 def product_form_preimages(model, ys, cfg):
-    """The batched fixed point, each step in product form: (z, iterations, status).
+    """The windowed fixed point, each step in product form: (z, iterations, status).
 
-    Per step: one product [-2c (z - m), c |z - m|^2, c] [x - m, 1, |x - m|^2]^T
-    gives the exponents c |z - x_j|^2, c = -1/(2 sigma^2) and m the training
-    mean; exp in place; the weights; products with x and with the ones
-    vector give the numerator and the denominator.
+    Rows are stepped in a list of ``kpca.block_rows`` slots, each
+    [row, iterate, steps, weights].  A finished row's slot takes the next
+    waiting row (the weights of the rows entering at one step are taken
+    together); once none waits, the finished slots at the end are dropped
+    and each other one, lowest first, takes the last slot.  Per step: one
+    product [-2c (z - m), c |z - m|^2, c] [x - m, 1, |x - m|^2]^T gives the
+    exponents c |z - x_j|^2, c = -1/(2 sigma^2) and m the training mean;
+    exp in place; the weights; one product with [x, 1] gives each row's
+    numerator and denominator.
     """
     x = model.training
+    n, d = x.shape
     shift = x.mean(axis=0)
     rows = x - shift
-    right = np.vstack([rows.T, np.ones(x.shape[0]), np.einsum("ij,ij->i", rows, rows)])
-    ones = np.ones(x.shape[0])
+    right = np.vstack([rows.T, np.ones(n), np.einsum("ij,ij->i", rows, rows)])
+    x1 = np.hstack([x, np.ones((n, 1))])
     c = -1.0 / (2.0 * model.spec.width**2)
     t = ys.shape[0]
-    z = np.tile(x.mean(axis=0), (t, 1))
+    z = np.empty((t, d))
     iterations = np.zeros(t, dtype=int)
     status = np.full(t, "max-iterations")
-    chunk = kpca.block_rows(*x.shape)
-    for c0 in range(0, t, chunk):
-        active = np.arange(c0, min(c0 + chunk, t))
-        weights = preimage_weights(model, ys[active])
-        for iteration in range(1, cfg.max_iterations + 1):
-            z_active = z[active]
-            zs = z_active - shift
-            left = np.empty((zs.shape[0], zs.shape[1] + 2))
-            np.multiply(zs, -2.0 * c, out=left[:, :-2])
-            left[:, -2] = c * np.einsum("ij,ij->i", zs, zs)
-            left[:, -1] = c
-            w = left @ right
-            np.exp(w, out=w)
-            w *= weights
-            num = w @ x
-            denom = w @ ones
-            iterations[active] = iteration
-            ok = np.isfinite(denom) & (np.abs(denom) >= 1e-300)
-            if not ok.all():
-                status[active[~ok]] = "diverged"
-                active, weights, z_active, num, denom = (
-                    v[ok] for v in (active, weights, z_active, num, denom))
-            z_next = num / denom[:, None]
-            done = np.linalg.norm(z_next - z_active, axis=1) < cfg.tolerance
-            z[active] = z_next
-            status[active[done]] = "converged"
-            active, weights = active[~done], weights[~done]
-            if not active.size:
-                break
+    waiting = list(range(t))
+
+    def enter(k):
+        new, waiting[:k] = waiting[:k], []
+        return [[i, shift, 0, w] for i, w in zip(new, preimage_weights(model, ys[new]))]
+
+    slots = enter(kpca.block_rows(n, d))
+    while slots:
+        zs = np.array([s[1] for s in slots]) - shift
+        left = np.empty((zs.shape[0], d + 2))
+        np.multiply(zs, -2.0 * c, out=left[:, :-2])
+        left[:, -2] = c * np.einsum("ij,ij->i", zs, zs)
+        left[:, -1] = c
+        w = left @ right
+        np.exp(w, out=w)
+        w *= np.array([s[3] for s in slots])
+        ended = []
+        for j, (slot, nd) in enumerate(zip(slots, w @ x1)):
+            slot[2] += 1
+            if not (np.isfinite(nd[d]) and abs(nd[d]) >= 1e-300):
+                end = "diverged"
+            else:
+                z_next = nd[:d] / nd[d]
+                step = np.sqrt(((z_next - slot[1]) ** 2).sum())
+                slot[1] = z_next
+                end = ("converged" if step < cfg.tolerance else
+                       "max-iterations" if slot[2] == cfg.max_iterations else None)
+            if end is not None:
+                z[slot[0]], iterations[slot[0]], status[slot[0]] = slot[1], slot[2], end
+                ended.append(j)
+        fresh = enter(min(len(ended), len(waiting)))
+        for j, slot in zip(ended, fresh + [None] * len(ended)):
+            slots[j] = slot
+        for j in ended[len(fresh):]:
+            while slots and slots[-1] is None:
+                slots.pop()
+            if j < len(slots):
+                slots[j] = slots.pop()
     return z, iterations, status
 
 
@@ -579,15 +598,15 @@ def test_kpca_preimages_prepare_the_training_rows_once(monkeypatch):
     monkeypatch.setattr(kpca, "PreparedRows", Spy)
     monkeypatch.setattr(kpca, "block_rows", lambda n, d: 7)
     _, iterations, _ = kpca_preimages(model, y, cfg)
-    # 43 chunks of up to 7 rows take hundreds of steps; one preparation.
+    # A window of 7 slots takes hundreds of steps; one preparation.
     assert iterations.sum() > 300
     assert len(prepared) == 1 and prepared[0] is model.training
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_kpca_preimages_step_only_unfinished_rows(monkeypatch, chunk):
-    # A chunk stops stepping once every row has converged or diverged, so
-    # the rows stepped add up to the iteration counts.
+    # A finished row leaves the window at once, so the rows stepped add up
+    # to the iteration counts.
     model, y, cfg = mixed_status_batch()
     stepped = []
 
@@ -602,6 +621,55 @@ def test_kpca_preimages_step_only_unfinished_rows(monkeypatch, chunk):
     assert "diverged" in set(status)
     assert 0 not in stepped
     assert sum(stepped) == iterations.sum()
+
+
+def test_kpca_preimages_keep_the_window_full(monkeypatch):
+    # 300 rows through 7 slots: while rows wait, every step carries 7 rows,
+    # and the steps follow from the rows' counts alone.  That is fewer steps
+    # than chunks of 7 rows that each wait for their slowest row.
+    model, y, cfg = mixed_status_batch()
+    stepped = []
+
+    class Spy(kernels.PreparedRows):
+        def raw(self, a):
+            stepped.append(a.shape[0])
+            return super().raw(a)
+
+    monkeypatch.setattr(kpca, "PreparedRows", Spy)
+    monkeypatch.setattr(kpca, "block_rows", lambda n, d: 7)
+    _, iterations, _ = kpca_preimages(model, y, cfg)
+    slots, waiting, expected, queued = [], list(iterations), [], []
+    while slots or waiting:
+        free = 7 - len(slots)
+        slots += waiting[:free]
+        del waiting[:free]
+        expected.append(len(slots))
+        queued.append(bool(waiting))
+        slots = [k - 1 for k in slots if k > 1]
+    assert stepped == expected
+    assert sum(queued) > 0 and all(k == 7 for k, q in zip(stepped, queued) if q)
+    chunked = sum(iterations[c0:c0 + 7].max() for c0 in range(0, len(y), 7))
+    assert len(stepped) < chunked
+
+
+def test_kpca_preimages_peak_memory():
+    # The window's weights and its step's kernel rows are the only window x N
+    # arrays; the rest is O(N D + T D).
+    x = gen_two_spheres(SpheresParams(n=1000, seed=42)).features
+    model = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), 2)
+    y = kpca_transform(model, x)
+    # Every row ends within 20 steps, so whole windows are refilled at once.
+    cfg = PreimageConfig(max_iterations=20)
+    kpca_preimages(model, y, cfg)
+    tracemalloc.start()
+    try:
+        kpca_preimages(model, y, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (n, d), t = x.shape, y.shape[0]
+    window = kpca.block_rows(n, d) * n
+    assert peak <= 8 * (2 * window + 4 * (n + t) * (d + 2))
 
 
 def test_transform_and_preimages_draw_gaussian_rows_from_raw(monkeypatch):
@@ -644,7 +712,9 @@ def test_preimage_weights_sum_to_one():
     x = small_spheres(seed=9)
     model = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), 4)
     y = kpca_transform(model, x)
-    assert preimage_weights(model, y[5]).sum() == pytest.approx(1.0, abs=1e-12)
+    w = preimage_weights(model, y[5])
+    assert w.shape == (model.n_samples,)
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_select_sigma_two_points():
@@ -687,6 +757,10 @@ def _small_pca():
     return fit_pca(small_spheres(), 2)
 
 
+def _small_kpca():
+    return fit_kpca(small_spheres(), KernelSpec.gaussian(1.0), 2)
+
+
 # Entry points that read a matrix of rows, each as (what its error names,
 # a call on the rows x of small_spheres()).  select_sigma's cases keep the
 # bare ids of the non-finite values.  A "-vector" entry passes row 7 alone,
@@ -703,6 +777,8 @@ _ROW_ENTRIES = {
     "pca_project-vector": ("query", lambda x: pca_project(_small_pca(), x[7])),
     "pca_reconstruct": ("weight", lambda x: pca_reconstruct(_small_pca(), x[:, :2])),
     "clamp_deformation": ("weight", lambda x: clamp_deformation(_small_pca(), x[:, :2])),
+    "preimage_weights": ("feature", lambda x: preimage_weights(_small_kpca(), x[:, :2])),
+    "preimage_weights-vector": ("feature", lambda x: preimage_weights(_small_kpca(), x[7, :2])),
 }
 
 
