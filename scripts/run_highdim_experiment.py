@@ -68,7 +68,7 @@ def main() -> int:
 
         sigma = select_sigma(x_train)
         kmodel = fit_kpca(x_train, KernelSpec.gaussian(sigma), args.components)
-        clf = fit_linear(kpca_transform(kmodel, x_train), y_train)
+        clf = fit_linear(kmodel.training_features, y_train)
         kpca_err = error_rate(clf, kpca_transform(kmodel, x_test), y_test)
 
         print(f"{seed:>4}  {sigma:8.3f}  {pca_err:8.2%}  {kpca_err:8.2%}")

@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from kpca_lab.classify import error_rate, fit_linear  # noqa: E402
 from kpca_lab.data import SpheresParams, gen_two_spheres  # noqa: E402
 from kpca_lab.kernels import KernelSpec  # noqa: E402
-from kpca_lab.kpca import fit_kpca, kpca_transform, select_sigma  # noqa: E402
+from kpca_lab.kpca import fit_kpca, select_sigma  # noqa: E402
 from kpca_lab.pca import fit_pca, pca_project  # noqa: E402
 
 
@@ -44,7 +44,7 @@ def main() -> int:
 
     sigma = args.sigma if args.sigma is not None else select_sigma(x)
     kmodel = fit_kpca(x, KernelSpec.gaussian(sigma), args.components)
-    kfeat = kpca_transform(kmodel, x)
+    kfeat = kmodel.training_features
     kpca_err = error_rate(fit_linear(kfeat, y), kfeat, y)
 
     pmodel = fit_pca(x, args.components)

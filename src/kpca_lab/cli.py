@@ -30,7 +30,6 @@ from .kpca import (
     UnsupportedKernelError,
     fit_kpca,
     kpca_preimages,
-    kpca_transform,
     select_sigma,
 )
 from .model_io import load_model, save_model
@@ -186,7 +185,7 @@ def cmd_embed(args) -> int:
         if model.n_components < args.components:
             print(f"note: retained {model.n_components} of {args.components} "
                   f"components (rest numerically zero)")
-        transformed = kpca_transform(model, x)
+        transformed = model.training_features
     out = _prepare_out(args.out)
     features_path = out / "features.csv"
     write_csv_matrix(transformed, features_path)
