@@ -15,22 +15,22 @@ started at the training mean,
 Because fitting centers the Gram matrix, the plain coefficient weights
 gamma_i = sum_k y_k a_ki are adjusted to g_i = gamma_i - mean(gamma) + 1/N;
 this accounts for the implicit feature mean and keeps pre-images anchored to
-the data region.  So g_i = sum_k y_k a~_ki + 1/N, a~ being the coefficients
-less their column means, and no weights need be stored: a row's numerator
-and denominator sum_i g_i e_i [x_i, 1] are its [y, 1] contracted with the
-M + 1 sums e @ [a~_0 [x, 1] | ... | a~_{M-1} [x, 1] | [x, 1] / N].
+the data region.  As one product, g_i = [y, 1] . [a~_i, 1/N], a~ being the
+coefficients less their column means.
 
 :func:`kpca_preimages` iterates a batch of rows in one window of slots:
 when a row finishes, its slot takes the next waiting row, so the window
 stays full while rows wait.  The training rows are prepared once per batch
-as ``kernels.PreparedRows(spec, x)``, the object behind every kernel table,
-and the N x (M + 1)(D + 1) right side above is built once.  Each step makes
-three passes over the window's rows of N kernel values: one product gives
-the exponents -|z - x_i|^2 / (2 sigma^2) (:meth:`kernels.PreparedRows.raw`,
-the row formula the transform and every gaussian kernel table use), ``exp``
-runs in place, unclamped, and one product with the right side gives the
-sums.  It returns a :class:`Preimages` record; :func:`kpca_preimage` is its
-row 0, and also reports ``"diverged"`` as a status, not as an exception.
+as ``kernels.PreparedRows(spec, x)``, the object behind every kernel table.
+Each step then makes four passes over the window's rows of N weights: one
+product gives the exponents -|z - x_i|^2 / (2 sigma^2)
+(:meth:`kernels.PreparedRows.raw`, the row formula the transform and every
+gaussian kernel table use), ``exp`` runs in place, the g_i multiply them,
+and one product with [x, 1] gives the numerator and the denominator
+together.  The kernel values are those of ``kernel_matrix(spec, z, x)``
+except that their exponents are not clamped at 0.  It returns a
+:class:`Preimages` record; :func:`kpca_preimage` is its row 0, and also
+reports ``"diverged"`` as a status, not as an exception.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class KpcaModel:
 
     @property
     def training_features(self) -> np.ndarray:
-        """The training rows' kernel principal components, N x M, from the fit alone:
-        K~ a_k = N lambda_k a_k, so no kernel is evaluated and nothing is stored."""
+        """The training rows' features from the fit, K~ a_k = N lambda_k a_k: column k
+        is their transform to about 1e-12 lambda_0 / lambda_k relative (``sym_eig``)."""
         return self.coefficients * (self.n_samples * self.eigenvalues)
 
 
@@ -228,13 +228,16 @@ def kpca_preimages(
     ``"max-iterations"`` otherwise.  Each row keeps its own step count, so
     no row's iterations depend on the others.
     Rows are stepped in one window of :func:`kernels.block_rows` slots,
-    which keeps the step's kernel rows, its one window x N array, near
-    2 MB.  A slot holds its row's index, iterate and step count.  When a
-    row finishes, its result is written out and its slot takes the next
-    waiting row, or, once none waits, the row of the last live slot, so the
-    window stays full and only moved rows are copied.  Each step is the
-    three passes of the module docstring, then the contraction; only rows
-    with a valid denominator are divided.
+    which keeps each window x N array near 2 MB.  A slot holds its row's
+    index, iterate, step count and weights.  When a row finishes, its
+    result is written out and its slot takes the next waiting row, or,
+    once none waits, the row of the last live slot, so the window stays
+    full and only moved rows are copied.  The training rows are prepared
+    once as ``kernels.PreparedRows(model.spec, x)``.  Each step takes the
+    window's exponents from one product (:meth:`~kernels.PreparedRows.raw`),
+    exponentiates them in place, unclamped, multiplies in the weights, and
+    gets the numerator and the denominator from one product with [x, 1];
+    only rows with a valid denominator are divided.
     Raises :class:`UnsupportedKernelError` for non-gaussian models; the
     rows are checked as ``feature`` rows of the model's M by
     ``kernels._rows`` before the first step.
@@ -252,7 +255,6 @@ def kpca_preimages(
     a = model.coefficients
     a1 = np.hstack([a - a.mean(axis=0), np.full((n, 1), 1.0 / n)])
     x1 = np.hstack([x, np.ones((n, 1))])
-    right = (a1[:, :, None] * x1[:, None, :]).reshape(n, -1)
     start = x.mean(axis=0)
     t = ys.shape[0]
     y1 = np.hstack([ys, np.ones((t, 1))])
@@ -264,13 +266,14 @@ def kpca_preimages(
     slot_row = np.arange(live)
     slot_z = np.tile(start, (live, 1))
     slot_steps = np.zeros(live, dtype=int)
+    slot_w = y1[:live] @ a1.T
     while live:
         z_live = slot_z[:live]
-        e = side.raw(z_live)
-        np.exp(e, out=e)
-        sums = (e @ right).reshape(live, -1, d + 1)
-        del e  # so the next step's kernel rows are the only window x N array
-        nd = np.einsum("lk,lkd->ld", y1[slot_row[:live]], sums)
+        w = side.raw(z_live)
+        np.exp(w, out=w)
+        w *= slot_w[:live]
+        nd = w @ x1
+        del w  # so a refill's weights are the only other window x N array
         steps = slot_steps[:live]
         steps += 1
         num, denom = nd[:, :d], nd[:, d]
@@ -295,6 +298,7 @@ def kpca_preimages(
             slot_row[refill] = np.arange(queued, queued + k)
             slot_z[refill] = start
             slot_steps[refill] = 0
+            slot_w[refill] = y1[queued:queued + k] @ a1.T
             queued += k
         if holes.size:
             # The lowest holes take the last live slots that did not end,
@@ -304,7 +308,7 @@ def kpca_preimages(
             kept[holes[holes >= live] - live] = False
             moved = live + kept.nonzero()[0][::-1]
             holes = holes[:moved.size]
-            for s in (slot_row, slot_z, slot_steps):
+            for s in (slot_row, slot_z, slot_steps, slot_w):
                 s[holes] = s[moved]
     return Preimages(z, iterations, status)
 

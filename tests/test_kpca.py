@@ -35,6 +35,15 @@ def small_spheres(n=60, seed=5):
     return gen_two_spheres(SpheresParams(n=n, seed=seed)).features
 
 
+def wide_blobs(n, d, seed=0):
+    """Two classes of n/2 rows that differ in scale on 3 of d axes, the
+    shape of the high-dimensional experiment."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([np.hstack([scale * rng.standard_normal((n // 2, 3)),
+                                 0.05 * rng.standard_normal((n // 2, d - 3))])
+                      for scale in (2.0, 8.0)])
+
+
 def column_sign_align(a, b):
     """Flip columns of b so each correlates positively with a's column."""
     signs = np.sign((a * b).sum(axis=0))
@@ -52,23 +61,30 @@ def test_identical_points_retain_nothing():
 
 
 @_KINDS
-@pytest.mark.parametrize("n", [12, 300], ids=["eigh", "krylov"])
-def test_training_features_match_the_transform(monkeypatch, kind, n):
+@pytest.mark.parametrize("case", ["eigh", "krylov", "wide"])
+def test_training_features_match_the_transform(monkeypatch, kind, case):
     # K~ a_k = N lambda_k a_k, so the fit's coefficients give the training
     # rows' features with no kernel evaluation, whichever solver found them.
+    # A Ritz pair is accepted at a residual of about 1e-12 lambda_0
+    # (eigen._RESIDUAL_RTOL), so column k may leave the transform by about
+    # that over lambda_k, relative to its largest entry.  The wide case's
+    # ninth component is 10 to 2000 times below its first.
     krylov, solved = eigen._krylov_top, []
     monkeypatch.setattr(eigen, "_krylov_top",
                         lambda a, m: solved.append(krylov(a, m)) or solved[-1])
-    x = small_spheres(n=n)
+    x, m = {"eigh": (small_spheres(n=12), 2), "krylov": (small_spheres(n=300), 2),
+            "wide": (wide_blobs(300, 1000), 9)}[case]
     spec = {"linear": KernelSpec.linear,
             "polynomial": lambda: KernelSpec.polynomial(2, 1.0),
             "gaussian": lambda: KernelSpec.gaussian(select_sigma(x))}[kind]()
-    model = fit_kpca(x, spec, 2)
-    assert [s is not None for s in solved] == ([True] if n == 300 else [])
+    model = fit_kpca(x, spec, m)
+    if case != "wide":  # there the linear fit falls back to eigh
+        assert [s is not None for s in solved] == ([True] if case == "krylov" else [])
     got, expected = model.training_features, kpca_transform(model, x)
-    assert got.shape == expected.shape == (n, 2)
+    assert got.shape == expected.shape == (x.shape[0], m)
+    lam = model.eigenvalues
     assert (np.abs(got - expected).max(axis=0)
-            <= 1e-11 * np.abs(expected).max(axis=0)).all()
+            <= 1e-11 * (lam[0] / lam) * np.abs(expected).max(axis=0)).all()
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
@@ -479,29 +495,27 @@ def kernel_table_preimages(model, ys, cfg):
 
 
 def product_form_preimages(model, ys, cfg):
-    """The windowed fixed point, each step in contraction form: (z, iterations, status).
+    """The windowed fixed point, each step in product form: (z, iterations, status).
 
     Rows are stepped in a list of ``kpca.block_rows`` slots, each
-    [row, iterate, steps].  A finished row's slot takes the next waiting
-    row; once none waits, the finished slots at the end are dropped and
-    each other one, lowest first, takes the last slot.  Per step: one
+    [row, iterate, steps, weights].  A finished row's slot takes the next
+    waiting row (the weights of the rows entering at one step are taken
+    together, as [y, 1] [a~, 1/N]^T with a~ the coefficients less their
+    column means); once none waits, the finished slots at the end are dropped
+    and each other one, lowest first, takes the last slot.  Per step: one
     product [-2c (z - m), c |z - m|^2, c] [x - m, 1, |x - m|^2]^T gives the
     exponents c |z - x_j|^2, c = -1/(2 sigma^2) and m the training mean;
-    exp in place; one product with [a~_0 [x, 1] | ... | a~_{M-1} [x, 1] |
-    [x, 1] / N], a~ the coefficients less their column means, gives each
-    row's M + 1 sums, and contracting them with [y, 1] gives its numerator
-    and denominator.  No weights are formed.
+    exp in place; the weights; one product with [x, 1] gives each row's
+    numerator and denominator.
     """
     x = model.training
     n, d = x.shape
     shift = x.mean(axis=0)
     rows = x - shift
     right = np.vstack([rows.T, np.ones(n), np.einsum("ij,ij->i", rows, rows)])
-    a = model.coefficients
-    a_bar = a - a.mean(axis=0)
     x1 = np.hstack([x, np.ones((n, 1))])
-    sums_right = np.hstack([a_bar[:, [k]] * x1 for k in range(a.shape[1])]
-                           + [x1 * (1.0 / n)])
+    a = model.coefficients
+    a1 = np.hstack([a - a.mean(axis=0), np.full((n, 1), 1.0 / n)])
     c = -1.0 / (2.0 * model.spec.width**2)
     t = ys.shape[0]
     y1 = np.hstack([ys, np.ones((t, 1))])
@@ -512,7 +526,7 @@ def product_form_preimages(model, ys, cfg):
 
     def enter(k):
         new, waiting[:k] = waiting[:k], []
-        return [[i, shift, 0] for i in new]
+        return [[i, shift, 0, w] for i, w in zip(new, y1[new] @ a1.T)]
 
     slots = enter(kpca.block_rows(n, d))
     while slots:
@@ -521,12 +535,11 @@ def product_form_preimages(model, ys, cfg):
         np.multiply(zs, -2.0 * c, out=left[:, :-2])
         left[:, -2] = c * np.einsum("ij,ij->i", zs, zs)
         left[:, -1] = c
-        e = left @ right
-        np.exp(e, out=e)
-        sums = (e @ sums_right).reshape(len(slots), a.shape[1] + 1, d + 1)
-        nds = np.einsum("lk,lkd->ld", y1[[s[0] for s in slots]], sums)
+        w = left @ right
+        np.exp(w, out=w)
+        w *= np.array([s[3] for s in slots])
         ended = []
-        for j, (slot, nd) in enumerate(zip(slots, nds)):
+        for j, (slot, nd) in enumerate(zip(slots, w @ x1)):
             slot[2] += 1
             if not (np.isfinite(nd[d]) and abs(nd[d]) >= 1e-300):
                 end = "diverged"
@@ -680,12 +693,11 @@ def test_kpca_preimages_keep_the_window_full(monkeypatch):
     assert len(stepped) < chunked
 
 
-def test_kpca_preimages_peak_memory():
-    # The step's kernel rows are the only window x N array; no weights are
-    # stored.  The rest is O((N + T) D), plus the N x (M + 1)(D + 1) right
-    # side of the contraction and the window's T-bounded sums of it.
-    x = gen_two_spheres(SpheresParams(n=1000, seed=42)).features
-    model = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), 2)
+def assert_preimage_peak_memory(x, m):
+    # The window's weights and its step's kernel rows are the only window x N
+    # arrays; the rest is O(N D + T D), whatever M is.
+    model = fit_kpca(x, KernelSpec.gaussian(select_sigma(x)), m)
+    assert model.n_components == m
     y = kpca_transform(model, x)
     # Every row ends within 20 steps, so whole windows are refilled at once.
     cfg = PreimageConfig(max_iterations=20)
@@ -696,9 +708,19 @@ def test_kpca_preimages_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    (n, d), t, m = x.shape, y.shape[0], model.n_components
-    window = kpca.block_rows(n, d) * n
-    assert peak <= 8 * (window + 4 * (n + t) * (d + 2) + (n + t) * (m + 1) * (d + 1))
+    (n, d), t = x.shape, y.shape[0]
+    window = min(kpca.block_rows(n, d), t) * n
+    assert peak <= 8 * (2 * window + 4 * (n + t) * (d + 2))
+
+
+def test_kpca_preimages_peak_memory():
+    assert_preimage_peak_memory(gen_two_spheres(SpheresParams(n=1000, seed=42)).features, 2)
+
+
+def test_kpca_preimages_peak_memory_wide():
+    # At D = 300 and M = 9 a step whose work or right side grew as
+    # (M + 1)(D + 1) per training row would pass the bound about threefold.
+    assert_preimage_peak_memory(wide_blobs(600, 300), 9)
 
 
 def test_transform_and_preimages_draw_gaussian_rows_from_raw(monkeypatch):
