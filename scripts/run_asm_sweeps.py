@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Render shape-model sweeps of the bundled face corpus as SVG strips.
 
-Fits a point-distribution model and a gaussian-kernel feature model to the
-landmark corpus, walks the leading features of each, reconstructs faces
-along the walk (kernel features via fixed-point pre-images), and writes
-one SVG per step plus a per-feature displacement summary.  Output lands in
-<out>/<method>_feature_<k>/step_NN.svg, NN = 01, 02, ... as in the CLI.
+For each of the leading features, runs ``kpca-lab asm-sweep`` once per shape
+model: the point-distribution model (``pca``) and the gaussian-kernel feature
+model (``kpca``, faces from fixed-point pre-images).  Each run fits its model,
+walks the feature and writes <out>/<method>_feature_<k>/ with one SVG per
+step (step_01.svg, ...), the swept shapes as shapes.csv and a manifest.json
+that records the corpus files and the gaussian width.  The script then prints
+the largest landmark displacement between the two strips of each feature.
 """
 
 import argparse
@@ -16,27 +18,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from kpca_lab.kernels import KernelSpec  # noqa: E402
-from kpca_lab.kpca import fit_kpca, select_sigma  # noqa: E402
-from kpca_lab.shapes import (  # noqa: E402
-    BIOID_20_ROLES,
-    KPCA_SWEEP_C,
-    SWEEP_COMPONENTS,
-    SWEEP_STEPS,
-    fit_shape_model,
-    normalize_shapes,
-    read_pts,
-    render_face_svg,
-    sweep_kpca_feature,
-    sweep_pca_feature,
-)
-
-
-def write_strip(out_dir: Path, steps: np.ndarray) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, shape in enumerate(steps, start=1):
-        svg = render_face_svg(shape, BIOID_20_ROLES)
-        (out_dir / f"step_{i:02d}.svg").write_text(svg)
+from kpca_lab.cli import main as kpca_lab  # noqa: E402
+from kpca_lab.data import read_csv_matrix  # noqa: E402
+from kpca_lab.shapes import KPCA_SWEEP_C, SWEEP_COMPONENTS, SWEEP_STEPS  # noqa: E402
 
 
 def main() -> int:
@@ -49,28 +33,23 @@ def main() -> int:
                         help="sweep features 1..this")
     parser.add_argument("--steps", type=int, default=SWEEP_STEPS)
     parser.add_argument("--m", type=int, default=SWEEP_COMPONENTS,
-                        help="retained components per model")
+                        help="retained components per model, at most the corpus size")
     parser.add_argument("--c", type=float, default=KPCA_SWEEP_C,
                         help="kernel sweep half-width in feature deviations")
     args = parser.parse_args()
 
-    x = normalize_shapes([read_pts(p) for p in sorted(args.pts_dir.glob("*.pts"))])
-    print(f"{len(x)} shapes from {args.pts_dir}")
-
-    pdm = fit_shape_model(x, args.m)
-    sigma = select_sigma(x)
-    kpm = fit_kpca(x, KernelSpec.gaussian(sigma), args.m)
-    print(f"gaussian sigma: {sigma:.4f}")
-
     for k in range(1, args.features + 1):
-        pca_steps = sweep_pca_feature(pdm, k, args.steps)
-        write_strip(args.out / f"pca_feature_{k}", pca_steps)
-
-        kpca_steps = sweep_kpca_feature(kpm, k, args.c, args.steps)
-        write_strip(args.out / f"kpca_feature_{k}", kpca_steps)
-
-        gap = max(float(np.abs(a - b).max())
-                  for a, b in zip(pca_steps, kpca_steps))
+        strips = []
+        for method in ("pca", "kpca"):
+            out = args.out / f"{method}_feature_{k}"
+            status = kpca_lab(["asm-sweep", "--pts-dir", str(args.pts_dir),
+                               "--method", method, "--feature", str(k),
+                               "--steps", str(args.steps), "--m", str(args.m),
+                               "--c", str(args.c), "--out", str(out)])
+            if status:
+                return status
+            strips.append(read_csv_matrix(out / "shapes.csv"))
+        gap = float(np.abs(strips[0] - strips[1]).max())
         print(f"feature {k}: max landmark displacement between methods {gap:.4f}")
 
     print(f"wrote {2 * args.features * args.steps} faces under {args.out}")

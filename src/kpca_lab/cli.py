@@ -263,9 +263,8 @@ def cmd_preimage(args) -> int:
         inputs=[args.model, args.input],
         outputs=[preimages_path, report_path],
     )
-    for entry in rows_report:
-        print(f"row {entry['row']}: {entry['status']} "
-              f"after {entry['iterations']} iterations")
+    tally = ", ".join(f"{n} {s}" for s, n in zip(*np.unique(status, return_counts=True)))
+    print(f"wrote {preimages_path} ({z.shape[0]} x {z.shape[1]}): {tally}")
     if failed:
         print(f"error: rows did not converge: {failed}", file=sys.stderr)
         return 1

@@ -20,7 +20,8 @@ coefficients less their column means.
 
 :func:`kpca_preimages` iterates a batch of rows in one window of slots:
 when a row finishes, its slot takes the next waiting row, so the window
-stays full while rows wait.  The training rows are prepared once per batch
+stays full while rows wait; once none waits, it takes the row of the last
+live slot, which then leaves.  The training rows are prepared once per batch
 as ``kernels.PreparedRows(spec, x)``, the object behind every kernel table.
 Each step then makes four passes over the window's rows of N weights: one
 product gives the exponents -|z - x_i|^2 / (2 sigma^2)
@@ -231,10 +232,11 @@ def kpca_preimages(
     which keeps each window x N array near 2 MB.  A slot holds its row's
     index, iterate, step count and weights.  When a row finishes, its
     result is written out and its slot takes the next waiting row, or,
-    once none waits, the row of the last live slot, so the window stays
-    full and only moved rows are copied.  The training rows are prepared
-    once as ``kernels.PreparedRows(model.spec, x)``.  Each step takes the
-    window's exponents from one product (:meth:`~kernels.PreparedRows.raw`),
+    once none waits, the row of the last live slot (the highest finished
+    slot first), so the live slots stay a prefix and only moved rows are
+    copied.  The training rows are prepared once as
+    ``kernels.PreparedRows(model.spec, x)``.  Each step takes the window's
+    exponents from one product (:meth:`~kernels.PreparedRows.raw`),
     exponentiates them in place, unclamped, multiplies in the weights, and
     gets the numerator and the denominator from one product with [x, 1];
     only rows with a valid denominator are divided.
@@ -293,23 +295,16 @@ def kpca_preimages(
         status[rows[~ok[ended]]] = "diverged"
         status[rows[done[ended]]] = "converged"
         k = min(ended.size, t - queued)
-        refill, holes = ended[:k], ended[k:]
-        if k:
-            slot_row[refill] = np.arange(queued, queued + k)
-            slot_z[refill] = start
-            slot_steps[refill] = 0
-            slot_w[refill] = y1[queued:queued + k] @ a1.T
-            queued += k
-        if holes.size:
-            # The lowest holes take the last live slots that did not end,
-            # the last first.
-            live -= holes.size
-            kept = np.ones(holes.size, dtype=bool)
-            kept[holes[holes >= live] - live] = False
-            moved = live + kept.nonzero()[0][::-1]
-            holes = holes[:moved.size]
+        refill = ended[:k]
+        slot_row[refill] = np.arange(queued, queued + k)
+        slot_z[refill] = start
+        slot_steps[refill] = 0
+        slot_w[refill] = y1[queued:queued + k] @ a1.T
+        queued += k
+        for j in ended[k:][::-1]:  # the other finished slots, highest first
+            live -= 1
             for s in (slot_row, slot_z, slot_steps, slot_w):
-                s[holes] = s[moved]
+                s[j] = s[live]
     return Preimages(z, iterations, status)
 
 

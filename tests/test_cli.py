@@ -292,6 +292,34 @@ def test_preimage_iteration_budget_nonzero_exit(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, seed, components, max_iter, tally, failed", [
+    # The README's CLI quick start: 8 rows lose their gaussian weight mass.
+    (1000, 42, 2, 1000, "992 converged, 8 diverged",
+     [672, 762, 772, 788, 832, 863, 891, 913]),
+    (20, 14, 5, 1, "20 max-iterations", list(range(20))),
+], ids=["quick-start", "budget"])
+def test_preimage_prints_one_tally_line(tmp_path, capsys, n, seed, components,
+                                        max_iter, tally, failed):
+    data = gen_spheres(tmp_path, n=n, seed=seed)
+    embed_out = tmp_path / "embed"
+    model_path = tmp_path / "model.kpml"
+    assert main(["embed", "--method", "kpca", "--components", str(components),
+                 "--input", str(data / "features.csv"),
+                 "--save-model", str(model_path), "--out", str(embed_out)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "pre"
+    assert main(["preimage", "--model", str(model_path),
+                 "--input", str(embed_out / "features.csv"),
+                 "--max-iter", str(max_iter), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out / 'preimages.csv'} ({n} x 3): {tally}\n"
+    assert captured.err == f"error: rows did not converge: {failed}\n"
+    # The per-row record stays in the report.
+    report = json.loads((out / "report.json").read_text())
+    assert [entry["row"] for entry in report] == list(range(n))
+    assert [e["row"] for e in report if e["status"] != "converged"] == failed
+
+
 def test_preimage_midpoint_of_symmetric_pair(tmp_path):
     train = tmp_path / "train.csv"
     write_csv_matrix(np.array([[0.0], [1.0]]), train)

@@ -501,8 +501,8 @@ def product_form_preimages(model, ys, cfg):
     [row, iterate, steps, weights].  A finished row's slot takes the next
     waiting row (the weights of the rows entering at one step are taken
     together, as [y, 1] [a~, 1/N]^T with a~ the coefficients less their
-    column means); once none waits, the finished slots at the end are dropped
-    and each other one, lowest first, takes the last slot.  Per step: one
+    column means); once none waits, each other finished slot, highest first,
+    takes the last slot, which is then dropped.  Per step: one
     product [-2c (z - m), c |z - m|^2, c] [x - m, 1, |x - m|^2]^T gives the
     exponents c |z - x_j|^2, c = -1/(2 sigma^2) and m the training mean;
     exp in place; the weights; one product with [x, 1] gives each row's
@@ -553,13 +553,11 @@ def product_form_preimages(model, ys, cfg):
                 z[slot[0]], iterations[slot[0]], status[slot[0]] = slot[1], slot[2], end
                 ended.append(j)
         fresh = enter(min(len(ended), len(waiting)))
-        for j, slot in zip(ended, fresh + [None] * len(ended)):
+        for j, slot in zip(ended, fresh):
             slots[j] = slot
-        for j in ended[len(fresh):]:
-            while slots and slots[-1] is None:
-                slots.pop()
-            if j < len(slots):
-                slots[j] = slots.pop()
+        for j in reversed(ended[len(fresh):]):
+            slots[j] = slots[-1]
+            del slots[-1]
     return z, iterations, status
 
 
