@@ -25,7 +25,7 @@ from .kpca import (
     kpca_transform,
     select_sigma,
 )
-from .classify import LinearClassifier, error_rate, fit_linear, predict, predict_many
+from .classify import LinearClassifier, error_rate, fit_linear, predict_many
 from .data import (
     LabeledDataset,
     SpheresParams,
@@ -73,7 +73,6 @@ __all__ = [
     "normalize_shapes",
     "pca_project",
     "pca_reconstruct",
-    "predict",
     "predict_many",
     "read_csv_matrix",
     "read_pgm",

@@ -41,11 +41,6 @@ def fit_linear(features: np.ndarray, labels: np.ndarray) -> LinearClassifier:
     return LinearClassifier(weights=w)
 
 
-def predict(clf: LinearClassifier, x: np.ndarray) -> int:
-    """Label for one feature vector: the one-row :func:`predict_many`."""
-    return int(predict_many(clf, np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
 def predict_many(clf: LinearClassifier, x: np.ndarray) -> np.ndarray:
     """Labels for the finite rows of a feature matrix; a score of exactly zero maps to +1."""
     x = _rows(x, "feature", clf.weights.shape[0] - 1)

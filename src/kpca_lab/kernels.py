@@ -6,23 +6,23 @@ them.  :func:`kernel_matrix` builds either.  Both come from
 :class:`PreparedRows`, the one place that knows how a table's rows are
 made: it decides once whether they are squared distances (the gaussian
 kernel) or dot products (the linear and polynomial kernels), prepares the
-right-hand rows for that, and owns the raw product, the finishing and the
-loop over row blocks.  Distance rows have one formula,
-:meth:`PreparedRows.raw`, c |a - b|^2 from one product: cross tables, the
-transform, the width heuristic and every pre-image step take their rows
-from it.
+right-hand rows for that, and owns the left factor, the raw product, the
+finishing and the loop over row blocks.  Raw rows have one formula,
+:meth:`PreparedRows.raw`, one product of :meth:`PreparedRows.left` with the
+prepared rows: self tables, cross tables, the transform, the width
+heuristic and every pre-image step take their rows from it.
 
-Cross rows come in blocks of :func:`block_rows` rows, about 2 MB each,
-and every elementwise step (clamp, gaussian ``exp``, polynomial offset
-and power) runs on a block while it is still in cache.  A caller that
-contracts each block, as the transform does, never holds the T x N table.
+Every table is built in blocks of :func:`block_rows` rows, about 2 MB
+each, and every elementwise step (clamp, gaussian ``exp``, polynomial
+offset and power) runs on a block while it is still in cache.  A caller
+that contracts each block, as the transform does, never holds the T x N
+table.
 
-Self tables, all built by :func:`gram_with_means`, walk their upper
-triangle in square tiles, each finished in cache and written with its
-transpose, so they are exactly symmetric by construction.  A diagonal tile
-is the self-product of its rows: BLAS computes one triangle and numpy
-mirrors it (numpy's loop without BLAS sums (i, j) in the order of (j, i)),
-and every later step is elementwise or adds symmetric terms.
+Self tables, all built by :func:`gram_with_means`, take each stripe of
+rows against the rows from its own on, written in place.  The stripe's
+diagonal block is averaged with its transpose and the rest is mirrored by
+copy, so the table is exactly symmetric by construction, and every later
+step is elementwise.
 
 Every public function of the package that takes a matrix of rows (here
 both operands of :func:`kernel_matrix` and the centring inputs) checks it
@@ -125,9 +125,6 @@ def _data_matrix(x: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 18
 
 
-_TILE = 256  # side of the square tiles of a self table (0.5 MB of float64)
-
-
 def block_rows(n: int, d: int) -> int:
     """Rows per block for rows that each meet ``n`` rows of dimension ``d``."""
     return max(1, _BLOCK_ENTRIES // max(n, d, 1))
@@ -136,56 +133,56 @@ def block_rows(n: int, d: int) -> int:
 class PreparedRows:
     """The rows ``b`` prepared once as the right-hand side of kernel rows.
 
-    ``dist`` records the one decision of this module: whether the raw rows
-    are scaled squared distances c |a - b|^2 (gaussian, c = -1/(2 sigma^2),
-    or ``spec`` None, c = 1) or dot products (linear, polynomial).  For
-    distances the rows are shifted by their mean ``shift``, which leaves
-    distances unchanged and removes the cancellation of |a|^2 + |b|^2 - 2ab
-    for data far from the origin, and laid out once as the C-order
-    N x (D + 2) buffer [b - m, 1, |b - m|^2]: ``rows`` is its first D
-    columns and ``norms`` its last, both views, so the products of tiles of
-    ``rows`` read the same memory and nothing is copied a second time.
-    For dot products ``rows`` is ``b`` itself.
+    The raw rows of ``a`` are one product, ``left(a) @ right.T``.  The one
+    decision of this module is taken here, once: whether they are scaled
+    squared distances c |a - b|^2 (gaussian, c = -1/(2 sigma^2)) or dot
+    products (linear, polynomial).  For distances the rows are shifted by
+    their mean ``shift``, which leaves distances unchanged and removes the
+    cancellation of |a|^2 + |b|^2 - 2ab for data far from the origin, and
+    ``right`` is laid out once as the C-order N x (D + 2) buffer
+    [b - m, 1, |b - m|^2].  For dot products ``right`` is ``b`` itself.
 
     :func:`kernel_matrix` and the transform prepare ``b`` once per call and
-    finish each of its :meth:`blocks`; :func:`gram_with_means` takes
-    products of tiles of ``rows``; the pre-image fixed point prepares the
-    training rows once per batch and calls :meth:`raw` at every step.
-    ``spec`` None gives only the raw, unclamped distance rows that the
-    width heuristic reads; there is no kernel to :meth:`finish` them into.
+    finish each of its :meth:`blocks`; :func:`gram_with_means` writes the
+    product of :meth:`left` of a stripe with ``right`` into its table; the
+    pre-image fixed point prepares the training rows once per batch, calls
+    :meth:`raw` at every step and reads [b - m, 1] from ``right``; the width
+    heuristic reads the raw, unclamped gaussian exponents of unit width.
     """
 
-    def __init__(self, spec: KernelSpec | None, b: np.ndarray):
+    def __init__(self, spec: KernelSpec, b: np.ndarray):
         self.spec = spec
-        self.dist = spec is None or spec.kind == "gaussian"
-        if self.dist:
-            self._scale = 1.0 if spec is None else -1.0 / (2.0 * spec.width**2)
+        self.right = b
+        if spec.kind == "gaussian":
+            self._scale = -1.0 / (2.0 * spec.width**2)
             self.shift = b.mean(axis=0)
             d = b.shape[1]
-            self._right = np.empty((b.shape[0], d + 2))
-            b = np.subtract(b, self.shift, out=self._right[:, :d])
-            self._right[:, d] = 1.0
-            self.norms = np.einsum("ij,ij->i", b, b, out=self._right[:, d + 1])
-        self.rows = b
+            self.right = np.empty((b.shape[0], d + 2))
+            b = np.subtract(b, self.shift, out=self.right[:, :d])
+            self.right[:, d] = 1.0
+            np.einsum("ij,ij->i", b, b, out=self.right[:, d + 1])
 
-    def raw(self, a: np.ndarray) -> np.ndarray:
-        """Raw rows of ``a`` against ``b``, a fresh array.
-
-        Scaled distances c |a - b|^2 come from one product with no pass
-        after it, [-2c (a - m), c |a - m|^2, c] [b - m, 1, |b - m|^2]^T
-        with m the ``shift``.  They are not clamped: where a row of ``a``
-        sits on a row of ``b`` an entry can take the wrong sign at rounding
-        size, which :meth:`finish` clamps.  Dot products are a b^T.
-        """
-        if not self.dist:
-            return a @ self.rows.T
+    def left(self, a: np.ndarray) -> np.ndarray:
+        """Left factor of the raw rows of ``a``: ``a`` itself for dot products, and for
+        distances the fresh [-2c (a - m), c |a - m|^2, c], m being the ``shift``."""
+        if self.spec.kind != "gaussian":
+            return a
         c = self._scale
         a = a - self.shift
         left = np.empty((a.shape[0], a.shape[1] + 2))
         np.multiply(a, -2.0 * c, out=left[:, :-2])
         left[:, -2] = c * np.einsum("ij,ij->i", a, a)
         left[:, -1] = c
-        return left @ self._right.T
+        return left
+
+    def raw(self, a: np.ndarray) -> np.ndarray:
+        """Raw rows of ``a`` against ``b``, ``left(a) @ right.T``, a fresh array.
+
+        Distances are not clamped: where a row of ``a`` sits on a row of
+        ``b`` an entry can take the wrong sign at rounding size, which
+        :meth:`finish` clamps.
+        """
+        return self.left(a) @ self.right.T
 
     def finish(self, raw: np.ndarray) -> np.ndarray:
         """Finish raw rows into kernel rows in place, and return them.
@@ -209,7 +206,7 @@ class PreparedRows:
         Blocks hold :func:`block_rows` rows; the generator keeps no block
         while it computes the next.
         """
-        step = block_rows(*self.rows.shape)
+        step = block_rows(self.right.shape[0], a.shape[1])
         for i0 in range(0, a.shape[0], step):
             i1 = min(i0 + step, a.shape[0])
             yield i0, i1, self.raw(a[i0:i1])
@@ -242,36 +239,33 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def gram_with_means(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kernel table of the rows ``x`` with themselves, and its row means.
 
-    The table is the only N x N array.  Each upper tile of it takes the
-    product G of two ``_TILE``-row ranges of ``PreparedRows(spec, x)`` (of
-    a diagonal tile's rows with themselves) and is finished in cache:
-    gaussian exponents as c (-2 G_ij + |x_i|^2 + |x_j|^2), with the c of
-    :meth:`PreparedRows.raw` and a zero diagonal on diagonal tiles, then
-    :meth:`PreparedRows.finish`, which makes a zero exponent exactly 1; it
-    is written with its transpose.  A stripe's row means are taken once it
-    is complete, and are the column means of the exactly symmetric table,
-    all that a fitted model keeps of it.  Its callers check ``x`` with
-    :func:`_rows`, so it is not checked again here.
+    The table is the only N x N array.  Each stripe of :func:`block_rows`
+    rows [i0, i1) is one product of ``PreparedRows(spec, x)``, written into
+    ``out[i0:i1, i0:]``.  Its diagonal block gets a zero diagonal for
+    distances and is halved and added to its transpose, so it is exactly
+    symmetric (halved first, so no entry the table can hold overflows);
+    the stripe is finished in place, a zero exponent to exactly 1, and
+    mirrored below the diagonal.  Its row means, taken then, are the column
+    means of the symmetric table, all that a fitted model keeps of it.
+    Its callers check ``x`` with :func:`_rows`, so it is not checked here.
     """
     x = np.ascontiguousarray(x, dtype=float)
     side = PreparedRows(spec, x)
     n = x.shape[0]
     out = np.empty((n, n))
     means = np.empty(n)
-    for i0 in range(0, n, _TILE):
-        i1 = min(i0 + _TILE, n)
-        r = side.rows[i0:i1]
-        for j0 in range(i0, n, _TILE):
-            j1 = min(j0 + _TILE, n)
-            t = r @ r.T if j0 == i0 else r @ side.rows[j0:j1].T
-            if side.dist:
-                t *= -2.0
-                t += np.add.outer(side.norms[i0:i1], side.norms[j0:j1])
-                if j0 == i0:
-                    np.fill_diagonal(t, 0.0)
-                t *= side._scale
-            out[i0:i1, j0:j1] = side.finish(t)
-            out[j0:j1, i0:i1] = t.T
+    step = block_rows(*x.shape)
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        stripe = out[i0:i1, i0:]
+        np.matmul(side.left(x[i0:i1]), side.right[i0:].T, out=stripe)
+        block = stripe[:, :i1 - i0]
+        if spec.kind == "gaussian":
+            np.fill_diagonal(block, 0.0)
+        block *= 0.5
+        block += block.T
+        side.finish(stripe)
+        out[i1:, i0:i1] = stripe[:, i1 - i0:].T
         out[i0:i1].mean(axis=1, out=means[i0:i1])
     return out, means
 

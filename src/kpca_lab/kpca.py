@@ -27,9 +27,10 @@ Each step then makes four passes over the window's rows of N weights: one
 product gives the exponents -|z - x_i|^2 / (2 sigma^2)
 (:meth:`kernels.PreparedRows.raw`, the row formula the transform and every
 gaussian kernel table use), ``exp`` runs in place, the g_i multiply them,
-and one product with [x, 1] gives the numerator and the denominator
-together.  The kernel values are those of ``kernel_matrix(spec, z, x)``
-except that their exponents are not clamped at 0.  It returns a
+and one product with the prepared rows [x - m, 1], m the training mean,
+gives the numerator less m and the denominator together.  The kernel
+values are those of ``kernel_matrix(spec, z, x)`` except that their
+exponents are not clamped at 0.  It returns a
 :class:`Preimages` record; :func:`kpca_preimage` is its row 0, and also
 reports ``"diverged"`` as a status, not as an exception.
 """
@@ -238,8 +239,9 @@ def kpca_preimages(
     ``kernels.PreparedRows(model.spec, x)``.  Each step takes the window's
     exponents from one product (:meth:`~kernels.PreparedRows.raw`),
     exponentiates them in place, unclamped, multiplies in the weights, and
-    gets the numerator and the denominator from one product with [x, 1];
-    only rows with a valid denominator are divided.
+    gets the numerator and the denominator from one product with the
+    prepared [x - m, 1]; only rows with a valid denominator are divided, and
+    the mean m is added back.
     Raises :class:`UnsupportedKernelError` for non-gaussian models; the
     rows are checked as ``feature`` rows of the model's M by
     ``kernels._rows`` before the first step.
@@ -256,8 +258,8 @@ def kpca_preimages(
     side = PreparedRows(model.spec, x)
     a = model.coefficients
     a1 = np.hstack([a - a.mean(axis=0), np.full((n, 1), 1.0 / n)])
-    x1 = np.hstack([x, np.ones((n, 1))])
-    start = x.mean(axis=0)
+    x1 = side.right[:, :d + 1]  # [x - m, 1], m the training mean
+    start = side.shift
     t = ys.shape[0]
     y1 = np.hstack([ys, np.ones((t, 1))])
     z = np.empty((t, d))
@@ -281,6 +283,7 @@ def kpca_preimages(
         num, denom = nd[:, :d], nd[:, d]
         ok = np.isfinite(denom) & (np.abs(denom) >= _DENOM_FLOOR)
         np.divide(num, denom[:, None], out=num, where=ok[:, None])
+        num += side.shift
         sq = num - z_live
         sq *= sq
         done = np.sqrt(sq.sum(axis=1)) < cfg.tolerance  # the step norm
@@ -320,19 +323,19 @@ def select_sigma(x: np.ndarray) -> float:
     """Gaussian width heuristic: 5 x mean nearest-neighbor distance.
 
     The nearest neighbor of row i is the closest row with a different index,
-    so duplicate rows contribute zero distance.  Neighbors are found on the
-    raw squared-distance blocks of ``kernels.PreparedRows(None, x)``,
-    unclamped because clamping would turn near-duplicate rows into index
-    ties; each distance is then recomputed from the explicit difference
-    x_i - x_j, so it carries no cancellation error and a duplicate's is
-    exactly 0.
+    so duplicate rows contribute zero distance.  Neighbors are the argmax of
+    the raw blocks of ``kernels.PreparedRows(KernelSpec.gaussian(1.0), x)``,
+    -1/2 times the squared distances, unclamped because clamping would turn
+    near-duplicate rows into index ties; each distance is then recomputed
+    from the explicit difference x_i - x_j, so it carries no cancellation
+    error and a duplicate's is exactly 0.
     """
     x = _data_matrix(x)
     nearest = np.empty(x.shape[0], dtype=np.intp)
-    for i0, i1, d2 in PreparedRows(None, x).blocks(x):
+    for i0, i1, e in PreparedRows(KernelSpec.gaussian(1.0), x).blocks(x):
         rows = np.arange(i0, i1)
-        d2[rows - i0, rows] = np.inf
-        nearest[i0:i1] = d2.argmin(axis=1)
+        e[rows - i0, rows] = -np.inf
+        nearest[i0:i1] = e.argmax(axis=1)
     diff = x[nearest]
     diff -= x
     diff *= diff

@@ -5,7 +5,6 @@ from kpca_lab.classify import (
     LinearClassifier,
     error_rate,
     fit_linear,
-    predict,
     predict_many,
 )
 
@@ -25,8 +24,7 @@ def test_symmetric_one_dimensional_case():
     assert clf.weights[0] < 0.0
     # bias ~ 0: the decision boundary sits at the origin
     assert abs(clf.weights[1]) <= 1e-8
-    assert predict(clf, np.array([-0.5])) == 1
-    assert predict(clf, np.array([0.5])) == -1
+    assert predict_many(clf, np.array([[-0.5], [0.5]])).tolist() == [1, -1]
 
 
 def test_separable_blobs_zero_training_error():
@@ -47,9 +45,8 @@ def test_duplicated_columns_still_finite():
 
 def test_predict_sign_and_tie_rule():
     clf = LinearClassifier(weights=np.array([1.0, 0.0]))
-    assert predict(clf, np.array([2.0])) == 1
-    assert predict(clf, np.array([-2.0])) == -1
-    assert predict(clf, np.array([0.0])) == 1  # exact zero -> +1
+    # exact zero -> +1
+    assert predict_many(clf, np.array([[2.0], [-2.0], [0.0]])).tolist() == [1, -1, 1]
 
 
 def test_batch_predict_matches_single():
@@ -57,7 +54,7 @@ def test_batch_predict_matches_single():
     x, labels = separable_blobs(rng, n_per=8)
     clf = fit_linear(x, labels)
     batch = predict_many(clf, x)
-    assert batch.tolist() == [predict(clf, row) for row in x]
+    assert batch.tolist() == [predict_many(clf, x[i:i + 1])[0] for i in range(len(x))]
 
 
 def test_error_rate_perfect_and_inverted():
@@ -126,5 +123,5 @@ def test_non_finite_feature_rows_are_named(bad):
 
 def test_predict_dimension_mismatch():
     clf = LinearClassifier(weights=np.array([1.0, -1.0, 0.0]))
-    with pytest.raises(ValueError):
-        predict(clf, np.array([1.0]))
+    with pytest.raises(ValueError, match="^feature rows have 1 columns, expected 2$"):
+        predict_many(clf, np.array([[1.0]]))

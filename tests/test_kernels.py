@@ -27,8 +27,9 @@ def explicit_table(spec, a, b):
 
 
 def raw_sq_dists(a, b):
-    # The unclamped squared-distance rows the width heuristic reads.
-    return kernels.PreparedRows(None, b).raw(a)
+    # The unclamped squared-distance rows the width heuristic reads: the raw
+    # unit-gaussian exponents, -1/2 times them exactly.
+    return -2.0 * kernels.PreparedRows(KernelSpec.gaussian(1.0), b).raw(a)
 
 
 def test_spec_constructors_validate():
@@ -132,28 +133,28 @@ def test_linear_self_matrix_exactly_symmetric():
     assert np.allclose(k, x @ x.T, atol=1e-12)
 
 
-# Self-table tile sides, kernels._TILE, in units of 7 rows: the default
-# (256, two tiles over 300 rows), 7 rows and 28 rows.  Each ends in a
-# partial tile.
-_TILES = pytest.mark.parametrize("sevens", [None, 1, 4])
+# Self-table stripes over 300 rows, in units of 7 rows: the default (one
+# stripe of all 300), 7 rows and 28 rows.  The last two end in a partial
+# stripe.
+_STRIPES = pytest.mark.parametrize("sevens", [None, 1, 4])
 
 
-def patch_tile(monkeypatch, sevens):
-    if sevens is not None:
-        monkeypatch.setattr(kernels, "_TILE", 7 * sevens)
+def patch_stripe(monkeypatch, rows):
+    # Stripes of ``rows`` rows for tables of 300 rows of dimension below 300.
+    if rows is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows * 300)
 
 
-@_TILES
+@_STRIPES
 @pytest.mark.parametrize("layout", ["C", "F", "row-strided", "column-strided"])
 @pytest.mark.parametrize("spec", [KernelSpec.linear(), KernelSpec.polynomial(3, 1.0),
                                   KernelSpec.gaussian(2.5)], ids=lambda s: s.kind)
 def test_self_tables_exactly_symmetric(monkeypatch, spec, layout, sevens):
-    # At 300 x 7, numpy 2.x multiplies a view with no unit stride through two
-    # separate copies, and that product is not exactly symmetric; the
-    # self tables must be in every layout and at every tile side.
+    # The self tables are exactly symmetric in every layout and at every
+    # stripe size.
     rng = np.random.default_rng(20)
     x = rng.standard_normal((300, 7)) * 3.0 + 1.0
-    patch_tile(monkeypatch, sevens)
+    patch_stripe(monkeypatch, sevens and 7 * sevens)
     expected = kernel_matrix(spec, x, x)
     v = {"C": x, "F": np.asfortranarray(x),
          "row-strided": np.repeat(x, 2, axis=0)[::2],
@@ -175,19 +176,19 @@ _BLOCKS = pytest.mark.parametrize("rows_per_block", [None, 1, 4],
 
 @pytest.mark.parametrize("sevens", [None, 1, 4], ids=["default", "7-row", "28-row"])
 def test_gaussian_self_table_is_the_two_pass_form(monkeypatch, sevens):
-    # The tile loop scales, clamps and exponentiates each tile of the self
-    # table while it is in cache; the values are those of finishing the
-    # whole distance table at the same tile side first and scaling and
-    # exponentiating it after.
+    # The stripe loop clamps and exponentiates each stripe of the self table
+    # while it is in cache; the values are those of building the whole table
+    # of exponents at the same stripe size first and finishing it after.
     rng = np.random.default_rng(21)
     x = rng.standard_normal((300, 7)) * 3.0 + 1.0
-    width = 2.5
-    patch_tile(monkeypatch, sevens)
-    expected = reference_self_table(None, x, kernels._TILE)
-    expected *= -1.0 / (2.0 * width**2)
+    spec = KernelSpec.gaussian(2.5)
+    patch_stripe(monkeypatch, sevens and 7 * sevens)
+    expected = reference_self_table(spec, x, kernels.block_rows(*x.shape),
+                                    finish=lambda spec, t: t)
+    np.minimum(expected, 0.0, out=expected)
     np.exp(expected, out=expected)
-    np.fill_diagonal(expected, 1.0)
-    assert np.array_equal(kernel_matrix(KernelSpec.gaussian(width), x, x), expected)
+    assert np.array_equal(np.diag(expected), np.ones(300))
+    assert np.array_equal(kernel_matrix(spec, x, x), expected)
 
 
 @_BLOCKS
@@ -224,79 +225,69 @@ def test_cross_kernel_matrix_matches_unblocked_form(monkeypatch, spec, rows_per_
 
 
 def reference_finish(spec, t):
-    # Finishing of the self table's distances: clamped at 0, then for the
-    # gaussian scaled and exponentiated; or dot products with the
-    # polynomial offset and power.
-    if spec is None or spec.kind == "gaussian":
-        np.maximum(t, 0.0, out=t)
-        if spec is not None:
-            t *= -1.0 / (2.0 * spec.width**2)
-            np.exp(t, out=t)
+    # Raw rows into kernel values: gaussian exponents clamped at 0 and
+    # exponentiated, dot products with the polynomial offset and power;
+    # spec None keeps the raw distances.
+    if spec is None:
+        return t
+    if spec.kind == "gaussian":
+        np.minimum(t, 0.0, out=t)
+        np.exp(t, out=t)
     elif spec.kind == "polynomial":
         t += spec.offset
         t **= spec.degree
     return t
 
 
-def reference_self_table(spec, x, tile):
-    # Over the upper triangle in square tiles of ``tile`` (for distances,
-    # mean-shifted) rows: G is the self-product of a diagonal tile's rows, or
-    # the product of two row ranges; distances as
-    # -2 G + outer(|x_i|^2, |x_j|^2), finished, a diagonal tile's diagonal
-    # then set to 0 (distances) or 1 (gaussian); the tile written to its
-    # place and its transpose to the mirrored place.
-    dist = spec is None or spec.kind == "gaussian"
-    if dist:
-        x = x - x.mean(axis=0)
-        nx = np.einsum("ij,ij->i", x, x)
+def reference_factors(spec, a, b):
+    # The raw rows of a against b are left @ right.T: for distances
+    # [-2c (a - m), c |a - m|^2, c] [b - m, 1, |b - m|^2]^T, m the mean of b
+    # and c = 1 (spec None) or -1/(2 sigma^2) (gaussian); else a b^T.
+    if spec is not None and spec.kind != "gaussian":
+        return a, b
+    c = 1.0 if spec is None else -1.0 / (2.0 * spec.width**2)
+    shift = b.mean(axis=0)
+    rows, a = b - shift, a - shift
+    right = np.column_stack([rows, np.ones(b.shape[0]), np.einsum("ij,ij->i", rows, rows)])
+    left = np.column_stack([-2.0 * c * a, c * np.einsum("ij,ij->i", a, a), np.full(a.shape[0], c)])
+    return left, right
+
+
+def reference_self_table(spec, x, step, finish=reference_finish):
+    # In stripes of ``step`` rows: the raw rows of a stripe against the rows
+    # from its own on, one product of the factors; the stripe's square
+    # diagonal block with a zero diagonal (distances), then averaged with its
+    # transpose; the stripe finished, written to its place and its transpose
+    # to the mirrored place.
+    left, right = reference_factors(spec, x, x)
     n = x.shape[0]
     out = np.empty((n, n))
-    for i0 in range(0, n, tile):
-        for j0 in range(i0, n, tile):
-            xi, xj = x[i0:i0 + tile], x[j0:j0 + tile]
-            t = xi @ xi.T if j0 == i0 else xi @ xj.T
-            if dist:
-                t *= -2.0
-                t += np.add.outer(nx[i0:i0 + tile], nx[j0:j0 + tile])
-            reference_finish(spec, t)
-            if dist and j0 == i0:
-                np.fill_diagonal(t, 0.0 if spec is None else 1.0)
-            out[i0:i0 + tile, j0:j0 + tile] = t
-            out[j0:j0 + tile, i0:i0 + tile] = t.T
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        t = left[i0:i1] @ right[i0:].T
+        blk = t[:, :i1 - i0]
+        if spec.kind == "gaussian":
+            np.fill_diagonal(blk, 0.0)
+        blk[...] = 0.5 * blk + 0.5 * blk.T
+        out[i0:i1, i0:] = finish(spec, t)
+        out[i0:, i0:i1] = t.T
     return out
 
 
 def reference_cross_table(spec, a, b, step):
-    # Per block of rows of a: distances from one product
-    # [-2c (a - m), c |a - m|^2, c] [b - m, 1, |b - m|^2]^T with m the mean
-    # of b and c = 1 (spec None, kept raw) or -1/(2 sigma^2) (gaussian,
-    # clamped at 0 and exponentiated); or the dot products a b^T, finished.
-    dist = spec is None or spec.kind == "gaussian"
-    if dist:
-        c = 1.0 if spec is None else -1.0 / (2.0 * spec.width**2)
-        shift = b.mean(axis=0)
-        rows = b - shift
-        right = np.column_stack(
-            [rows, np.ones(b.shape[0]), np.einsum("ij,ij->i", rows, rows)])
+    # Per block of ``step`` rows of a: one product of the factors, finished
+    # (spec None: kept raw).
+    left, right = reference_factors(spec, a, b)
     out = np.empty((a.shape[0], b.shape[0]))
     for i0 in range(0, a.shape[0], step):
-        if not dist:
-            out[i0:i0 + step] = reference_finish(spec, a[i0:i0 + step] @ b.T)
-            continue
-        ai = a[i0:i0 + step] - shift
-        left = np.column_stack(
-            [-2.0 * c * ai, c * np.einsum("ij,ij->i", ai, ai), np.full(ai.shape[0], c)])
-        blk = left @ right.T
-        if spec is None:
-            out[i0:i0 + step] = blk
-        else:
-            out[i0:i0 + step] = np.exp(np.minimum(blk, 0.0))
+        out[i0:i0 + step] = reference_finish(spec, left[i0:i0 + step] @ right.T)
     return out
 
 
 _KERNEL_SPECS = [KernelSpec.linear(), KernelSpec.polynomial(3, 1.0), KernelSpec.gaussian(2.5)]
 _KERNELS = pytest.mark.parametrize("spec", _KERNEL_SPECS, ids=lambda s: s.kind)
-# spec None: the raw squared-distance rows the width heuristic reads.
+# spec None: the raw squared-distance rows the width heuristic reads, -2
+# times the unit-gaussian raw rows.
 _ALL_TABLES = pytest.mark.parametrize("spec", [None] + _KERNEL_SPECS,
                                       ids=["sq_dists", "linear", "polynomial", "gaussian"])
 
@@ -313,29 +304,29 @@ def test_tables_bit_equal_reference_formulas(monkeypatch, spec, offset, rows_per
     step = kernels.block_rows(*b.shape)
     if spec is None:
         # Distance rows have no table of their own, only the raw blocks.
-        cross = np.vstack([raw for _, _, raw in kernels.PreparedRows(None, b).blocks(a)])
+        side = kernels.PreparedRows(KernelSpec.gaussian(1.0), b)
+        cross = -2.0 * np.vstack([raw for _, _, raw in side.blocks(a)])
     else:
         cross = kernel_matrix(spec, a, b)
-        assert np.array_equal(kernel_matrix(spec, b, b),
-                              reference_self_table(spec, b, kernels._TILE))
+        assert np.array_equal(kernel_matrix(spec, b, b), reference_self_table(spec, b, step))
     assert np.array_equal(cross, reference_cross_table(spec, a, b, step))
 
 
 @_KERNELS
 @pytest.mark.parametrize("offset", [0.0, 1e3], ids=["origin", "far"])
 def test_self_table_tile_edges(monkeypatch, spec, offset):
-    # 300 rows end in a partial tile at sides 7 and 64.  Every side gives an
-    # exactly symmetric table, a gaussian diagonal exactly 1 and bit-equal
-    # row means;
-    # sides differ only where a diagonal tile's self-product rounds an entry
-    # otherwise than the product of two row ranges, by at most 8 eps times
-    # the table's largest entry.
+    # 300 rows in stripes of 1, 7 and 64 rows; the last two end in a partial
+    # stripe.  Every stripe size gives an exactly symmetric table, a gaussian
+    # diagonal exactly 1 and bit-equal row means; sizes differ only where an
+    # entry is averaged with its mirror in a diagonal block at one size and
+    # not at the other, or BLAS rounds a product of another shape
+    # otherwise, by at most 8 eps times the table's largest entry.
     rng = np.random.default_rng(25)
     x = rng.standard_normal((300, 7)) * 3.0 + offset
     expected = explicit_table(spec, x, x)
     default = kernels.gram_with_means(spec, x)[0]
-    for tile in (7, 64):
-        monkeypatch.setattr(kernels, "_TILE", tile)
+    for rows in (1, 7, 64):
+        patch_stripe(monkeypatch, rows)
         table, means = kernels.gram_with_means(spec, x)
         assert np.array_equal(table, table.T)
         assert np.array_equal(means, table.mean(axis=1))
@@ -348,8 +339,10 @@ def test_self_table_tile_edges(monkeypatch, spec, offset):
 
 
 def test_gram_with_means_peak_memory():
-    # The table is the only N x N array: a tile and the outer sum of its
-    # norms are the largest temporaries, with O(N D) for the prepared rows.
+    # The table is the only N x N array, and each stripe's product is
+    # written into it: the copy of a stripe's square diagonal block is the
+    # largest temporary, with O(N D) for the prepared rows.  A stripe-sized
+    # temporary (174 x 1500 entries here) would break the bound.
     n, d = 1500, 3
     x = np.random.default_rng(26).standard_normal((n, d))
     spec = KernelSpec.gaussian(1.0)
@@ -360,24 +353,24 @@ def test_gram_with_means_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (n * n + 2 * kernels._TILE**2 + 8 * n * (d + 2))
+    assert peak <= 8 * (n * n + kernels.block_rows(n, d)**2 + 8 * n * (d + 2))
 
 
 @pytest.mark.parametrize("spec", [None, KernelSpec.gaussian(2.5)], ids=["sq_dists", "gaussian"])
 @pytest.mark.parametrize("offset", [0.0, 1e3], ids=["origin", "far"])
 def test_prepared_raw_rows_are_scaled_distances(offset, spec):
-    # raw gives c |a - b|^2 unclamped, c = 1 for spec None and
-    # -1/(2 sigma^2) for the gaussian; the shift by the mean of b keeps it
+    # raw gives c |a - b|^2 unclamped, c = -1/(2 sigma^2) for the gaussian
+    # (spec None: unit width, times -2); the shift by the mean of b keeps it
     # accurate far from the origin.
     rng = np.random.default_rng(24)
     a = rng.standard_normal((90, 7)) * 3.0 + offset
     b = rng.standard_normal((300, 7)) * 3.0 + offset
-    side = kernels.PreparedRows(spec, b)
     d2 = explicit_sq_dists(a, b)
-    got = side.raw(a)
     if spec is None:
+        got = raw_sq_dists(a, b)
         assert np.abs(got - d2).max() <= 1e-13 * d2.max()
     else:
+        got = kernels.PreparedRows(spec, b).raw(a)
         k = np.exp(-d2 / (2.0 * spec.width**2))
         assert (np.abs(np.exp(got) - k) <= 1e-13 * k).all()
         assert np.array_equal(np.exp(np.minimum(got, 0.0)), kernel_matrix(spec, a, b))
@@ -505,23 +498,23 @@ def test_sq_dists_self_case_across_blocks(monkeypatch):
     rng = np.random.default_rng(17)
     x = rng.standard_normal((11, 3))
     q = rng.standard_normal((5, 3))
-    side = kernels.PreparedRows(None, x)
-    full = side.raw(x)
+    side = kernels.PreparedRows(KernelSpec.gaussian(1.0), x)
+    full = -2.0 * side.raw(x)
     sigma = select_sigma(x)
     for rows_per_block in (4, 1):
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * 11)
         blocks = list(side.blocks(x))
         assert len(blocks) == -(-11 // rows_per_block)
-        assert np.allclose(np.vstack([raw for _, _, raw in blocks]), full,
+        assert np.allclose(-2.0 * np.vstack([raw for _, _, raw in blocks]), full,
                            rtol=0.0, atol=1e-13)
-        assert np.allclose(np.vstack([raw for _, _, raw in side.blocks(q)]),
+        assert np.allclose(-2.0 * np.vstack([raw for _, _, raw in side.blocks(q)]),
                            explicit_sq_dists(q, x), rtol=0.0, atol=1e-13)
         assert select_sigma(x) == sigma
-    # Tiles of 4 rows: the self table crosses three diagonal tiles.
-    monkeypatch.setattr(kernels, "_TILE", 4)
-    k = kernel_matrix(KernelSpec.gaussian(0.9), x, x)
-    assert np.array_equal(k, k.T)
-    assert np.array_equal(np.diag(k), np.ones(11))
+        # The self table crosses three diagonal blocks of 4 rows, or eleven
+        # of 1 row.
+        k = kernel_matrix(KernelSpec.gaussian(0.9), x, x)
+        assert np.array_equal(k, k.T)
+        assert np.array_equal(np.diag(k), np.ones(11))
 
 
 def test_sq_dists_edge_shapes():

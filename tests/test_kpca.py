@@ -463,10 +463,15 @@ def mixed_status_batch():
 
 
 def kernel_table_preimages(model, ys, cfg):
-    """The batched fixed point, ``kernel_matrix`` on every step: (z, iterations, status)."""
+    """The batched fixed point, ``kernel_matrix`` on every step: (z, iterations, status).
+
+    Rows start at the training mean m; each step's weighted mean is taken of
+    the rows x - m and m added back.
+    """
     x = model.training
     t = ys.shape[0]
-    z = np.tile(x.mean(axis=0), (t, 1))
+    shift = x.mean(axis=0)
+    z = np.tile(shift, (t, 1))
     iterations = np.zeros(t, dtype=int)
     status = np.full(t, "max-iterations")
     chunk = kpca.block_rows(*x.shape)
@@ -484,7 +489,7 @@ def kernel_table_preimages(model, ys, cfg):
                 status[active[~ok]] = "diverged"
                 active, weights, z_active, w, denom = (
                     v[ok] for v in (active, weights, z_active, w, denom))
-            z_next = (w @ x) / denom[:, None]
+            z_next = (w @ (x - shift)) / denom[:, None] + shift
             done = np.linalg.norm(z_next - z_active, axis=1) < cfg.tolerance
             z[active] = z_next
             status[active[done]] = "converged"
@@ -505,15 +510,15 @@ def product_form_preimages(model, ys, cfg):
     takes the last slot, which is then dropped.  Per step: one
     product [-2c (z - m), c |z - m|^2, c] [x - m, 1, |x - m|^2]^T gives the
     exponents c |z - x_j|^2, c = -1/(2 sigma^2) and m the training mean;
-    exp in place; the weights; one product with [x, 1] gives each row's
-    numerator and denominator.
+    exp in place; the weights; one product with [x - m, 1] gives each row's
+    numerator less m and its denominator.  Rows start at m.
     """
     x = model.training
     n, d = x.shape
     shift = x.mean(axis=0)
     rows = x - shift
     right = np.vstack([rows.T, np.ones(n), np.einsum("ij,ij->i", rows, rows)])
-    x1 = np.hstack([x, np.ones((n, 1))])
+    x1 = np.hstack([rows, np.ones((n, 1))])
     a = model.coefficients
     a1 = np.hstack([a - a.mean(axis=0), np.full((n, 1), 1.0 / n)])
     c = -1.0 / (2.0 * model.spec.width**2)
@@ -544,7 +549,7 @@ def product_form_preimages(model, ys, cfg):
             if not (np.isfinite(nd[d]) and abs(nd[d]) >= 1e-300):
                 end = "diverged"
             else:
-                z_next = nd[:d] / nd[d]
+                z_next = nd[:d] / nd[d] + shift
                 step = np.sqrt(((z_next - slot[1]) ** 2).sum())
                 slot[1] = z_next
                 end = ("converged" if step < cfg.tolerance else
@@ -729,7 +734,7 @@ def test_transform_and_preimages_draw_gaussian_rows_from_raw(monkeypatch):
     original = kernels.PreparedRows.raw
 
     def spy(self, a):
-        calls.append((self.spec, self.rows.shape[0], a.shape[0]))
+        calls.append((self.spec, self.right.shape[0], a.shape[0]))
         return original(self, a)
 
     monkeypatch.setattr(kernels.PreparedRows, "raw", spy)
@@ -848,15 +853,15 @@ def test_select_sigma_rejects_non_finite_data(entry, bad):
 
 
 def test_train_col_means_are_uncentered_gram_means(monkeypatch, tmp_path):
-    # The means are taken stripe by stripe inside the self table's tile walk,
-    # once each stripe is complete; at every tile side (one 40-row tile, or
-    # tiles of 16 and 7 rows) they equal the whole table's, in the fitted
+    # The means are taken stripe by stripe as the self table is built, once
+    # each stripe is complete; at every stripe size (one 40-row stripe, or
+    # stripes of 16 and 7 rows) they equal the whole table's, in the fitted
     # model and in a loaded one.
     rng = np.random.default_rng(36)
     x = rng.standard_normal((40, 7)) * 3.0 + 1.0
-    for tile in (None, 16, 7):
-        if tile is not None:
-            monkeypatch.setattr(kernels, "_TILE", tile)
+    for rows in (None, 16, 7):
+        if rows is not None:
+            monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows * 40)
         for spec in (KernelSpec.gaussian(1.2), KernelSpec.linear(),
                      KernelSpec.polynomial(2, 1.0)):
             model = fit_kpca(x, spec, 3)
