@@ -114,6 +114,8 @@ def _integral_labels(values: np.ndarray, path: str) -> np.ndarray:
 
 def _load_features_labels(features_path: str, labels_path: str | None,
                           labels_col: int | None):
+    if labels_col is not None and labels_path is not None:
+        raise ValueError(f"labels given twice: {labels_path} and --labels-col {labels_col}")
     x = read_csv_matrix(features_path)
     labels = None
     if labels_col is not None:

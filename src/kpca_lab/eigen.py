@@ -4,9 +4,9 @@ Every numerical module in the toolkit funnels its eigenproblems through
 this module so that ordering and sign conventions are fixed in exactly
 one place: eigenvalues descending with stable tie-breaking, and each
 eigenvector's entry of largest magnitude non-negative.  ``sym_eig`` checks
-that its input is square, finite and symmetric; ``kpca.fit_kpca`` solves
-its own centred Gram by the unchecked :func:`_solve`: the uncentred table
-is exactly symmetric, and the centred one symmetric to one rounding.
+that its input is square, finite and symmetric; ``kpca.fit_kpca`` hands its
+exactly symmetric Gram A and row means c to the unchecked :func:`_solve`,
+which solves the centred A - c 1^T - 1 c^T + mean(c) 1 1^T.
 
 ``sym_eig(a)`` delegates the full decomposition to LAPACK via
 ``numpy.linalg.eigh``.  ``sym_eig(a, m)`` returns only the top ``m`` pairs,
@@ -14,8 +14,9 @@ as kernel PCA needs, by block Lanczos (a block Krylov method; Golub & Van
 Loan, *Matrix Computations*, ch. 10; Musco & Musco 2015).  From a
 fixed-seed gaussian start block the basis grows by one block per step: the
 product A Q_j of the newest block, orthogonalised twice against the whole
-basis (full reorthogonalisation).  The projected matrix Q^T A Q grows by
-one block row per step, and its Rayleigh-Ritz pairs are accepted once each
+basis (full reorthogonalisation).  Centring is a rank-2 term of each
+product, so A is only read.  The projected matrix Q^T A Q grows by one
+block row per step, and its Rayleigh-Ritz pairs are accepted once each
 wanted one has ``|A v - theta v| <= _RESIDUAL_RTOL * max|theta|``.  The
 newest block's remainder gives that residual without a product with A;
 one explicit n x m product certifies it at the end.  The Krylov space of
@@ -125,22 +126,27 @@ def _basis_cap(n: int, b: int) -> int:
     return min(n // 2, _MAX_STEPS * b)
 
 
-def _krylov_top(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Top-m Ritz pairs by block Lanczos on blocks of m, or None if not certified."""
+def _krylov_top(a: np.ndarray, c: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Top-m Ritz pairs of :func:`_solve`'s matrix by block Lanczos, or None if uncertified."""
     n = a.shape[0]
     cap = _basis_cap(n, m)
+
+    def times(q):
+        # (Q^T A)^T = A Q for a symmetric A, read row by row: up to twice as
+        # fast as A @ Q for a thin Q.  Less the centring's rank-2 term.
+        s = q.sum(axis=0)
+        return (q.T @ a).T - np.outer(c, s) - (c @ q - c.mean() * s)
+
     basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, m)))
     block = basis
     h = np.zeros((0, 0))
     while True:
         k = basis.shape[1]
-        # (Q_j^T A)^T = A^T Q_j, A Q_j to one rounding for a centred Gram; it
-        # reads A row by row, up to twice as fast as A @ Q_j for a thin block.
-        w = (block.T @ a).T
-        c = basis.T @ w
+        w = times(block)
+        cq = basis.T @ w
         h = np.pad(h, ((0, m), (0, m)))
-        h[k - m:] = c.T  # eigh reads the lower triangle only
-        w -= basis @ c
+        h[k - m:] = cq.T  # eigh reads the lower triangle only
+        w -= basis @ cq
         w -= basis @ (basis.T @ w)
         nxt, r = np.linalg.qr(w)
         theta, s = np.linalg.eigh(h)
@@ -150,7 +156,7 @@ def _krylov_top(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
         tol = _RESIDUAL_RTOL * np.abs(theta).max()
         if np.linalg.norm(r @ s[k - m:, :m], axis=0).max() <= tol:
             v = basis @ s[:, :m]
-            resid = (v.T @ a).T - v * theta[:m]
+            resid = times(v) - v * theta[:m]
             if np.linalg.norm(resid, axis=0).max() <= tol:
                 return theta[:m], v
         if k + m > cap:
@@ -171,25 +177,34 @@ def sym_eig(a: np.ndarray, m: int | None = None) -> EigenDecomposition:
     resolves the +/-v ambiguity deterministically.
 
     With ``m``, only the ``m`` algebraically largest pairs are returned
-    (``values`` of shape (m,), ``vectors`` n x m), computed by block Lanczos
-    where that pays off and by full ``eigh`` otherwise (see the module
-    docstring).  Repeated calls give byte-identical results.
+    (``values`` of shape (m,), ``vectors`` n x m), computed by :func:`_solve`
+    on a copy of ``a`` with c = 0, so ``a`` is never written.  Repeated
+    calls give byte-identical results.
 
     Raises ``ValueError`` for non-square, non-finite, or asymmetric input,
     or for ``m`` outside [1, n]; ``kpca.fit_kpca`` skips these by :func:`_solve`.
     """
     a = np.asarray(a, dtype=float)
     _validate_symmetric(a)
-    if m is not None and not 1 <= m <= a.shape[0]:
+    if m is None:
+        return _canonical(*np.linalg.eigh(a))
+    if not 1 <= m <= a.shape[0]:
         raise ValueError(f"m={m} outside [1, n] = [1, {a.shape[0]}]")
-    return _solve(a, m)
+    return _solve(a.copy(), np.zeros(a.shape[0]), m)
 
 
-def _solve(a: np.ndarray, m: int | None) -> EigenDecomposition:
-    """:func:`sym_eig` of a finite, symmetric float matrix, without its checks."""
-    if m is not None and _basis_cap(a.shape[0], m) >= _MIN_STEPS * m:
-        top = _krylov_top(a, m)
+def _solve(a: np.ndarray, c: np.ndarray, m: int) -> EigenDecomposition:
+    """Top ``m`` pairs of A - c 1^T - 1 c^T + mean(c) 1 1^T, unchecked.
+
+    ``a`` is finite and symmetric, ``c`` finite.  Block Lanczos only reads
+    ``a``; the ``eigh`` path centres it in place, bit-identically to
+    ``kernels.center_gram`` when c holds its row means.
+    """
+    if _basis_cap(a.shape[0], m) >= _MIN_STEPS * m:
+        top = _krylov_top(a, c, m)
         if top is not None:
             return _canonical(*top)
-    w, v = np.linalg.eigh(a)
-    return _canonical(w, v, m)
+    a -= c[:, None]
+    a -= c
+    a += c.mean()
+    return _canonical(*np.linalg.eigh(a), m)

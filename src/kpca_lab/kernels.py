@@ -277,9 +277,10 @@ def center_gram(k: np.ndarray) -> np.ndarray:
     via row/column means.  Output rows and columns sum to ~0 and the result
     is symmetric to rounding.  The result is the only N x N array allocated.
 
-    Reference form: :func:`kpca.fit_kpca` applies the same operations, in
-    the same order, in place on its kernel matrix one row block at a time,
-    so its result is bit-identical; it does not call this.
+    Reference form: :func:`kpca.fit_kpca` hands its uncentred table and row
+    means to ``eigen._solve``, which on its ``eigh`` path applies these
+    operations in place, in this order, bit-identically, and on its block
+    Lanczos path applies them to each product as a rank-2 term.
     """
     k = _rows(k, "k")
     if k.shape[0] != k.shape[1]:

@@ -132,10 +132,8 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
 
     Steps: build the kernel matrix and its column means
     (:func:`kernels.gram_with_means`), reject it if a row mean is not finite,
-    center it in place in one pass of row blocks (the operations of
-    :func:`kernels.center_gram` in its order, so the result is bit-identical,
-    but with no second N x N array), solve for its top ``m`` eigenpairs by
-    the unchecked :func:`eigen._solve`, keep the leading ones with raw
+    hand both to the unchecked :func:`eigen._solve` for the top ``m``
+    eigenpairs of the centred matrix, keep the leading ones with raw
     eigenvalue above the cutoff, and rescale each eigenvector alpha_k (unit
     norm from the solver) to a_k = alpha_k / sqrt(raw_k) so that
     lambda_k * N * |a_k|^2 = 1.  The coefficients are stored C-contiguous,
@@ -151,14 +149,7 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     k, col_means = gram_with_means(spec, x)
     if not np.isfinite(col_means).all():
         raise ValueError(f"kernel matrix row {np.isfinite(col_means).argmin()} is not finite")
-    grand = col_means.mean()
-    step = block_rows(n, n)
-    for i0 in range(0, n, step):
-        blk = k[i0:i0 + step]
-        blk -= col_means[i0:i0 + step, None]
-        blk -= col_means
-        blk += grand
-    dec = _solve(k, m)
+    dec = _solve(k, col_means, m)
     raw = dec.values
     if not np.isfinite(raw).all():  # the centring overflowed
         raise ValueError("centred kernel matrix is not finite")
@@ -203,20 +194,6 @@ def kpca_transform(model: KpcaModel, q: np.ndarray) -> np.ndarray:
         del raw
     y -= model.train_col_means @ a_bar
     return y
-
-
-def preimage_weights(model: KpcaModel, y: np.ndarray) -> np.ndarray:
-    """Centering-adjusted pre-image weights for a feature vector or T x M rows.
-
-    gamma_i = sum_k y_k a_ki, shifted by -mean(gamma) + 1/N to account for
-    the centered fit (see module docstring); one row of N weights per row of
-    ``y``, or N weights for a vector.  The rows are checked as ``feature``
-    rows of the model's M by ``kernels._rows``.
-    """
-    w = _rows(np.atleast_2d(y), "feature", model.n_components) @ model.coefficients.T
-    w -= w.mean(axis=1, keepdims=True)
-    w += 1.0 / model.n_samples
-    return w[0] if np.ndim(y) == 1 else w
 
 
 def kpca_preimages(

@@ -114,6 +114,28 @@ def test_embed_labels_col(tmp_path):
     assert read_csv_matrix(out / "features.csv").shape == (20, 2)
 
 
+@pytest.mark.parametrize("subcommand", ["embed", "classify", "classify-test"])
+def test_labels_file_and_labels_column_together_rejected(tmp_path, capsys, subcommand):
+    # Either source alone decides the labels; with both, the manifest would
+    # list a labels file the run did not read, so the run stops before any
+    # output is written and names both.
+    data = gen_spheres(tmp_path, n=20)
+    merged = tmp_path / "merged.csv"
+    write_csv_matrix(np.hstack([read_csv_matrix(data / "features.csv"),
+                                read_csv_matrix(data / "labels.csv")]), merged)
+    labels, out = data / "labels.csv", tmp_path / "out"
+    argv = {"embed": ["embed", "--method", "pca", "--input", str(merged),
+                      "--labels", str(labels)],
+            "classify": ["classify", "--train-features", str(merged),
+                         "--train-labels", str(labels)],
+            "classify-test": ["classify", "--train-features", str(merged),
+                              "--test-features", str(merged), "--test-labels", str(labels)],
+            }[subcommand]
+    assert main(argv + ["--labels-col", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: labels given twice: {labels} and --labels-col -1\n"
+    assert not out.exists()
+
+
 def test_embed_deterministic(tmp_path):
     data = gen_spheres(tmp_path)
     out_a = tmp_path / "a"

@@ -132,7 +132,7 @@ def psd_with_gap(seed, n):
 @pytest.mark.parametrize("seed, m", [(0, 1), (1, 2), (2, 5), (3, 9)])
 def test_top_m_matches_full_eigh(seed, m):
     a = psd_with_gap(seed, 150)
-    assert eigen._krylov_top(a, m) is not None  # block Lanczos, not the fallback
+    assert eigen._krylov_top(a, np.zeros(len(a)), m) is not None  # block Lanczos, not the fallback
     top = sym_eig(a, m)
     full = sym_eig(a)
     assert top.values.shape == (m,)
@@ -145,7 +145,7 @@ def test_top_m_matches_full_eigh(seed, m):
 
 
 def test_top_m_zero_matrix():
-    assert eigen._krylov_top(np.zeros((60, 60)), 3) is not None
+    assert eigen._krylov_top(np.zeros((60, 60)), np.zeros(60), 3) is not None
     dec = sym_eig(np.zeros((60, 60)), 3)
     assert np.array_equal(dec.values, np.zeros(3))
     assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(3), atol=1e-12)
@@ -159,7 +159,7 @@ def test_top_m_rank_deficient_gram(n, d, m):
     x -= x.mean(axis=0)
     a = x @ x.T
     a = (a + a.T) / 2.0
-    assert eigen._krylov_top(a, m) is not None
+    assert eigen._krylov_top(a, np.zeros(len(a)), m) is not None
     full = sym_eig(a)
     dec = sym_eig(a, m)
     assert np.abs(dec.values - full.values[:m]).max() <= 1e-12 * full.values[0]
@@ -177,7 +177,7 @@ def test_top_m_negative_block_cannot_hide_wanted_pair():
     w = np.concatenate([[1.0, 0.9], -np.arange(11.0, 21.0), np.full(188, 0.01)])
     a = (q * w) @ q.T
     a = (a + a.T) / 2.0
-    assert eigen._krylov_top(a, 2) is not None
+    assert eigen._krylov_top(a, np.zeros(len(a)), 2) is not None
     dec = sym_eig(a, 2)
     assert np.allclose(dec.values, [1.0, 0.9], atol=1e-12)
 
@@ -185,11 +185,11 @@ def test_top_m_negative_block_cannot_hide_wanted_pair():
 def test_top_m_falls_back_when_sweeps_run_out(monkeypatch):
     a = psd_with_gap(4, 120)
     full = sym_eig(a)
-    assert eigen._krylov_top(a, 3) is not None
+    assert eigen._krylov_top(a, np.zeros(len(a)), 3) is not None
     # One block only: the cap is reached before the pairs certify.
     monkeypatch.setattr(eigen, "_basis_cap", lambda n, b: b)
     monkeypatch.setattr(eigen, "_MIN_STEPS", 1)
-    assert eigen._krylov_top(a, 3) is None
+    assert eigen._krylov_top(a, np.zeros(len(a)), 3) is None
     dec = sym_eig(a, 3)
     assert np.array_equal(dec.values, full.values[:3])
     assert np.array_equal(dec.vectors, full.vectors[:, :3])
@@ -211,6 +211,46 @@ def test_top_m_deterministic_repeat():
     d2 = sym_eig(a.copy(), 2)
     assert d1.values.tobytes() == d2.values.tobytes()
     assert d1.vectors.tobytes() == d2.vectors.tobytes()
+
+
+@pytest.mark.parametrize("n", [150, 30], ids=["krylov", "eigh"])
+def test_solve_centres_its_matrix(n):
+    # _solve(a, c, m) solves A - c 1^T - 1 c^T + mean(c) 1 1^T.  Block
+    # Lanczos takes that as a rank-2 term of each product and only reads a;
+    # eigh centres a in place, in the explicit form's operations and order.
+    a = psd_with_gap(10, n)
+    c = 0.1 * np.random.default_rng(10).standard_normal(n)
+    b = a - c[:, None]
+    b -= c
+    b += c.mean()
+    full = sym_eig(b)
+    work = a.copy()
+    if n == 150:
+        work.setflags(write=False)
+        assert eigen._krylov_top(work, c, 3) is not None
+    dec = eigen._solve(work, c, 3)
+    if n == 150:
+        assert np.array_equal(work, a)
+        assert np.abs(dec.values - full.values[:3]).max() <= 1e-12 * full.values[0]
+        assert np.abs(dec.vectors - full.vectors[:, :3]).max() <= 1e-10
+    else:
+        assert np.array_equal(dec.values, full.values[:3])
+        assert np.array_equal(dec.vectors, full.vectors[:, :3])
+
+
+@pytest.mark.parametrize("n", [150, 30], ids=["krylov", "eigh"])
+def test_top_m_never_writes_its_input(n):
+    # The solver may centre its matrix in place, so sym_eig hands it a copy.
+    a = psd_with_gap(11, n)
+    expected = sym_eig(a.copy(), 2)
+    frozen = a.copy()
+    frozen.setflags(write=False)
+    for given in (a, frozen):
+        before = given.copy()
+        dec = sym_eig(given, 2)
+        assert np.array_equal(given, before)
+        assert np.array_equal(dec.values, expected.values)
+        assert np.array_equal(dec.vectors, expected.vectors)
 
 
 @pytest.mark.parametrize("m", [0, 31, -1])
@@ -236,7 +276,7 @@ def test_top_m_returns_every_copy_of_a_repeated_eigenvalue(top, m, n):
     # the multiplicity would find only some of the copies.
     a = with_spectrum(9, top, n)
     if n == 200:
-        assert eigen._krylov_top(a, m) is not None
+        assert eigen._krylov_top(a, np.zeros(len(a)), m) is not None
     full = sym_eig(a)
     dec = sym_eig(a, m)
     assert np.abs(dec.values - full.values[:m]).max() <= 1e-12

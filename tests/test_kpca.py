@@ -17,7 +17,6 @@ from kpca_lab.kpca import (
     kpca_preimage,
     kpca_preimages,
     kpca_transform,
-    preimage_weights,
     select_sigma,
 )
 from kpca_lab.model_io import load_model, save_model
@@ -71,7 +70,7 @@ def test_training_features_match_the_transform(monkeypatch, kind, case):
     # ninth component is 10 to 2000 times below its first.
     krylov, solved = eigen._krylov_top, []
     monkeypatch.setattr(eigen, "_krylov_top",
-                        lambda a, m: solved.append(krylov(a, m)) or solved[-1])
+                        lambda a, c, m: solved.append(krylov(a, c, m)) or solved[-1])
     x, m = {"eigh": (small_spheres(n=12), 2), "krylov": (small_spheres(n=300), 2),
             "wide": (wide_blobs(300, 1000), 9)}[case]
     spec = {"linear": KernelSpec.linear,
@@ -96,14 +95,14 @@ def test_top_m_fit_matches_full_eigh_fit(monkeypatch, m):
     solved = []
     iterate = eigen._krylov_top
 
-    def spy(a, m):
-        solved.append(iterate(a, m))
+    def spy(a, c, m):
+        solved.append(iterate(a, c, m))
         return solved[-1]
 
     monkeypatch.setattr(eigen, "_krylov_top", spy)
     top = fit_kpca(x, spec, m)
     assert solved and solved[0] is not None  # block Lanczos, not the fallback
-    monkeypatch.setattr(kpca, "_solve", lambda a, m: sym_eig(a))
+    monkeypatch.setattr(kpca, "_solve", lambda a, c, m: sym_eig(center_gram(a)))
     full = fit_kpca(x, spec, m)
     assert top.n_components == full.n_components == m
     assert np.abs(top.eigenvalues - full.eigenvalues).max() <= 1e-12 * full.eigenvalues[0]
@@ -430,9 +429,21 @@ def test_preimages_reject_non_finite_feature_rows(bad):
     with pytest.raises(ValueError, match="feature row 0 has non-finite entries"):
         kpca_preimage(model, y[2])
     # The width is checked before the first step too, in the row rule's words.
-    for call in (kpca_preimages, preimage_weights):
-        with pytest.raises(ValueError, match="^feature rows have 2 columns, expected 3$"):
-            call(model, y[:, :2])
+    with pytest.raises(ValueError, match="^feature rows have 2 columns, expected 3$"):
+        kpca_preimages(model, y[:, :2])
+
+
+def preimage_weights(model, y):
+    """Centring-adjusted pre-image weights of a feature vector or T x M rows.
+
+    gamma_i = sum_k y_k a_ki, shifted by -mean(gamma) + 1/N for the centred
+    fit: one row of N weights per row of ``y``, or N weights for a vector.
+    The reference form of the weights kpca_preimages takes from one product.
+    """
+    w = np.atleast_2d(y) @ model.coefficients.T
+    w -= w.mean(axis=1, keepdims=True)
+    w += 1.0 / model.n_samples
+    return w[0] if np.ndim(y) == 1 else w
 
 
 def reference_preimage(model, y, cfg):
@@ -831,8 +842,6 @@ _ROW_ENTRIES = {
     "pca_project-vector": ("query", lambda x: pca_project(_small_pca(), x[7])),
     "pca_reconstruct": ("weight", lambda x: pca_reconstruct(_small_pca(), x[:, :2])),
     "clamp_deformation": ("weight", lambda x: clamp_deformation(_small_pca(), x[:, :2])),
-    "preimage_weights": ("feature", lambda x: preimage_weights(_small_kpca(), x[:, :2])),
-    "preimage_weights-vector": ("feature", lambda x: preimage_weights(_small_kpca(), x[7, :2])),
 }
 
 
@@ -875,8 +884,9 @@ def test_train_col_means_are_uncentered_gram_means(monkeypatch, tmp_path):
 
 @_KINDS
 @_BLOCKS
-def test_fit_centres_the_gram_in_place_as_center_gram_does(monkeypatch, kind,
-                                                           rows_per_block):
+def test_fit_solves_its_uncentred_table_and_row_means(monkeypatch, kind, rows_per_block):
+    # The solver centres the table itself, so the fit hands it the table
+    # and row means of gram_with_means untouched.
     x = small_spheres()
     spec = {"linear": KernelSpec.linear,
             "polynomial": lambda: KernelSpec.polynomial(2, 1.0),
@@ -885,33 +895,47 @@ def test_fit_centres_the_gram_in_place_as_center_gram_does(monkeypatch, kind,
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * len(x))
     seen = []
 
-    def spy(a, m):
-        seen.append(a.copy())
-        return sym_eig(a, m)
+    def spy(a, c, m):
+        seen.append((a.copy(), c.copy()))
+        return eigen._solve(a, c, m)
 
     monkeypatch.setattr(kpca, "_solve", spy)
     fit_kpca(x, spec, 3)
-    assert np.array_equal(seen[0], center_gram(kernel_matrix(spec, x, x)))
+    k = kernel_matrix(spec, x, x)
+    assert np.array_equal(seen[0][0], k)
+    assert np.array_equal(seen[0][1], k.mean(axis=1))
 
 
 @_KINDS
 @pytest.mark.parametrize("n", [300, 20], ids=["krylov", "eigh"])
 def test_fit_solves_its_gram_unchecked_and_bit_identically(monkeypatch, kind, n):
-    # The fit's uncentred Gram is exactly symmetric and its centred one
-    # symmetric to one rounding, so the solve skips sym_eig's four reads of
-    # it; the answer is sym_eig's on the same table.
+    # The fit's uncentred Gram is exactly symmetric, so the solve skips
+    # sym_eig's four reads of it; the answer is _solve's on the same table
+    # and row means.  eigh solves the table centred in place as center_gram
+    # centres it, so there the answer is also sym_eig's of center_gram's
+    # table; block Lanczos centres each product instead, which rounds
+    # otherwise, so there it meets the tolerances of the top-m fit test.
     x = gen_two_spheres(SpheresParams(n=n, seed=3)).features
     spec = {"linear": KernelSpec.linear,
             "polynomial": lambda: KernelSpec.polynomial(2, 1.0),
             "gaussian": lambda: KernelSpec.gaussian(select_sigma(x))}[kind]()
     m = 2
-    dec = sym_eig(center_gram(kernel_matrix(spec, x, x)), m)
+    k = kernel_matrix(spec, x, x)
+    dec = eigen._solve(k.copy(), k.mean(axis=1), m)
+    full = sym_eig(center_gram(k), m)
+    if n == 300:
+        assert np.abs(dec.values - full.values).max() <= 1e-12 * full.values[0]
+        assert (np.abs(dec.vectors - full.vectors).max()
+                <= 1e-10 * np.abs(full.vectors).max())
+    else:
+        assert np.array_equal(dec.values, full.values)
+        assert np.array_equal(dec.vectors, full.vectors)
     r = int(np.count_nonzero(dec.values > kpca.DROP_RTOL * max(dec.values[0], 0.0)))
     solved = []
     iterate = eigen._krylov_top
 
-    def spy(a, m):
-        solved.append(iterate(a, m))
+    def spy(a, c, m):
+        solved.append(iterate(a, c, m))
         return solved[-1]
 
     def refuse(a):
@@ -924,6 +948,30 @@ def test_fit_solves_its_gram_unchecked_and_bit_identically(monkeypatch, kind, n)
     assert model.n_components == r == m
     assert np.array_equal(model.eigenvalues, dec.values[:r] / n)
     assert np.array_equal(model.coefficients, dec.vectors[:, :r] / np.sqrt(dec.values[:r]))
+
+
+def test_fit_never_writes_its_table_on_the_lanczos_path(monkeypatch):
+    # Block Lanczos only reads the table, so a read-only one fits, and to
+    # the same bits as a writable one.
+    x = gen_two_spheres(SpheresParams(n=300, seed=3)).features
+    spec = KernelSpec.gaussian(select_sigma(x))
+    expected = fit_kpca(x, spec, 2)
+    build = kpca.gram_with_means
+
+    def read_only(spec, x):
+        k, means = build(spec, x)
+        k.setflags(write=False)
+        return k, means
+
+    solved = []
+    iterate = eigen._krylov_top
+    monkeypatch.setattr(eigen, "_krylov_top",
+                        lambda a, c, m: solved.append(iterate(a, c, m)) or solved[-1])
+    monkeypatch.setattr(kpca, "gram_with_means", read_only)
+    model = fit_kpca(x, spec, 2)
+    assert solved and solved[0] is not None
+    assert np.array_equal(model.eigenvalues, expected.eigenvalues)
+    assert np.array_equal(model.coefficients, expected.coefficients)
 
 
 @pytest.mark.parametrize("x, spec, message", [
