@@ -184,6 +184,9 @@ def cmd_embed(args) -> int:
     else:
         spec, kernel_params = _resolve_kernel(args, x)
         model = fit_kpca(x, spec, args.components)
+        if not model.n_components:
+            raise ValueError(f"{args.input}: kernel PCA retained no component "
+                             f"(the centred kernel matrix is numerically zero)")
         if model.n_components < args.components:
             print(f"note: retained {model.n_components} of {args.components} "
                   f"components (rest numerically zero)")

@@ -178,8 +178,8 @@ def sym_eig(a: np.ndarray, m: int | None = None) -> EigenDecomposition:
 
     With ``m``, only the ``m`` algebraically largest pairs are returned
     (``values`` of shape (m,), ``vectors`` n x m), computed by :func:`_solve`
-    on a copy of ``a`` with c = 0, so ``a`` is never written.  Repeated
-    calls give byte-identical results.
+    on ``a`` itself with c = 0, which it neither copies nor writes.
+    Repeated calls give byte-identical results.
 
     Raises ``ValueError`` for non-square, non-finite, or asymmetric input,
     or for ``m`` outside [1, n]; ``kpca.fit_kpca`` skips these by :func:`_solve`.
@@ -190,21 +190,22 @@ def sym_eig(a: np.ndarray, m: int | None = None) -> EigenDecomposition:
         return _canonical(*np.linalg.eigh(a))
     if not 1 <= m <= a.shape[0]:
         raise ValueError(f"m={m} outside [1, n] = [1, {a.shape[0]}]")
-    return _solve(a.copy(), np.zeros(a.shape[0]), m)
+    return _solve(a, np.zeros(a.shape[0]), m)
 
 
 def _solve(a: np.ndarray, c: np.ndarray, m: int) -> EigenDecomposition:
     """Top ``m`` pairs of A - c 1^T - 1 c^T + mean(c) 1 1^T, unchecked.
 
     ``a`` is finite and symmetric, ``c`` finite.  Block Lanczos only reads
-    ``a``; the ``eigh`` path centres it in place, bit-identically to
-    ``kernels.center_gram`` when c holds its row means.
+    ``a``; the ``eigh`` path centres it in place when ``c`` is nonzero,
+    bit-identically to ``kernels.center_gram`` when c holds its row means.
     """
     if _basis_cap(a.shape[0], m) >= _MIN_STEPS * m:
         top = _krylov_top(a, c, m)
         if top is not None:
             return _canonical(*top)
-    a -= c[:, None]
-    a -= c
-    a += c.mean()
+    if c.any():
+        a -= c[:, None]
+        a -= c
+        a += c.mean()
     return _canonical(*np.linalg.eigh(a), m)

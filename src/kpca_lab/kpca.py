@@ -18,21 +18,22 @@ this accounts for the implicit feature mean and keeps pre-images anchored to
 the data region.  As one product, g_i = [y, 1] . [a~_i, 1/N], a~ being the
 coefficients less their column means.
 
-:func:`kpca_preimages` iterates a batch of rows in one window of slots:
-when a row finishes, its slot takes the next waiting row, so the window
-stays full while rows wait; once none waits, it takes the row of the last
-live slot, which then leaves.  The training rows are prepared once per batch
-as ``kernels.PreparedRows(spec, x)``, the object behind every kernel table.
-Each step then makes four passes over the window's rows of N weights: one
-product gives the exponents -|z - x_i|^2 / (2 sigma^2)
-(:meth:`kernels.PreparedRows.raw`, the row formula the transform and every
-gaussian kernel table use), ``exp`` runs in place, the g_i multiply them,
-and one product with the prepared rows [x - m, 1], m the training mean,
-gives the numerator less m and the denominator together.  The kernel
-values are those of ``kernel_matrix(spec, z, x)`` except that their
-exponents are not clamped at 0.  It returns a
-:class:`Preimages` record; :func:`kpca_preimage` is its row 0, and also
-reports ``"diverged"`` as a status, not as an exception.
+:func:`kpca_preimages` iterates a batch of rows in one window of slots,
+each a row index and that row's weights; the iterates and step counts
+live in the result.  When a row finishes, its slot takes the next waiting
+row, so the window stays full while rows wait; once none waits, it takes
+the row of the last live slot, which then leaves.  The training rows are
+prepared once per batch as ``kernels.PreparedRows(spec, x)``, the object
+behind every kernel table.  Each step then makes four passes over the
+window's rows of N weights: one product gives the exponents
+-|z - x_i|^2 / (2 sigma^2) (:meth:`kernels.PreparedRows.raw`, the row
+formula the transform and every gaussian kernel table use), ``exp`` runs
+in place, the g_i multiply them, and one product with the prepared rows
+[x - m, 1], m the training mean, gives the numerator less m and the
+denominator together.  The kernel values are those of
+``kernel_matrix(spec, z, x)`` except that their exponents are not clamped
+at 0.  It returns a :class:`Preimages` record; :func:`kpca_preimage` is its
+row 0, and also reports ``"diverged"`` as a status, not as an exception.
 """
 
 from __future__ import annotations
@@ -208,13 +209,14 @@ def kpca_preimages(
     no row's iterations depend on the others.
     Rows are stepped in one window of :func:`kernels.block_rows` slots,
     which keeps each window x N array near 2 MB.  A slot holds its row's
-    index, iterate, step count and weights.  When a row finishes, its
-    result is written out and its slot takes the next waiting row, or,
-    once none waits, the row of the last live slot (the highest finished
-    slot first), so the live slots stay a prefix and only moved rows are
-    copied.  The training rows are prepared once as
-    ``kernels.PreparedRows(model.spec, x)``.  Each step takes the window's
-    exponents from one product (:meth:`~kernels.PreparedRows.raw`),
+    index and weights; the row's iterate and step count live in the
+    returned ``z`` and ``iterations``, which each step reads and writes
+    through the slots' row indices.  When a row finishes, its slot takes
+    the next waiting row, or, once none waits, the row of the last live
+    slot (the highest finished slot first), so the live slots stay a
+    prefix and only moved slots are copied.  The training rows are prepared
+    once as ``kernels.PreparedRows(model.spec, x)``.  Each step takes the
+    window's exponents from one product (:meth:`~kernels.PreparedRows.raw`),
     exponentiates them in place, unclamped, multiplies in the weights, and
     gets the numerator and the denominator from one product with the
     prepared [x - m, 1]; only rows with a valid denominator are divided, and
@@ -236,27 +238,24 @@ def kpca_preimages(
     a = model.coefficients
     a1 = np.hstack([a - a.mean(axis=0), np.full((n, 1), 1.0 / n)])
     x1 = side.right[:, :d + 1]  # [x - m, 1], m the training mean
-    start = side.shift
     t = ys.shape[0]
     y1 = np.hstack([ys, np.ones((t, 1))])
-    z = np.empty((t, d))
+    z = np.tile(side.shift, (t, 1))  # every row starts at the training mean
     iterations = np.zeros(t, dtype=int)
     status = np.full(t, "max-iterations")
     # The window: slots [0, live) hold rows; rows [queued, t) wait.
     live = queued = min(block_rows(n, d), t)
     slot_row = np.arange(live)
-    slot_z = np.tile(start, (live, 1))
-    slot_steps = np.zeros(live, dtype=int)
     slot_w = y1[:live] @ a1.T
     while live:
-        z_live = slot_z[:live]
+        rows = slot_row[:live]
+        z_live = z[rows]
         w = side.raw(z_live)
         np.exp(w, out=w)
         w *= slot_w[:live]
         nd = w @ x1
         del w  # so a refill's weights are the only other window x N array
-        steps = slot_steps[:live]
-        steps += 1
+        iterations[rows] += 1
         num, denom = nd[:, :d], nd[:, d]
         ok = np.isfinite(denom) & (np.abs(denom) >= _DENOM_FLOOR)
         np.divide(num, denom[:, None], out=num, where=ok[:, None])
@@ -265,25 +264,20 @@ def kpca_preimages(
         sq *= sq
         done = np.sqrt(sq.sum(axis=1)) < cfg.tolerance  # the step norm
         done &= ok
-        np.copyto(z_live, num, where=ok[:, None])
-        ended = (~ok | done | (steps == cfg.max_iterations)).nonzero()[0]
+        z[rows[ok]] = num[ok]
+        ended = (~ok | done | (iterations[rows] == cfg.max_iterations)).nonzero()[0]
         if not ended.size:
             continue
-        rows = slot_row[ended]
-        z[rows] = z_live[ended]
-        iterations[rows] = steps[ended]
-        status[rows[~ok[ended]]] = "diverged"
-        status[rows[done[ended]]] = "converged"
+        status[rows[~ok]] = "diverged"
+        status[rows[done]] = "converged"
         k = min(ended.size, t - queued)
         refill = ended[:k]
         slot_row[refill] = np.arange(queued, queued + k)
-        slot_z[refill] = start
-        slot_steps[refill] = 0
         slot_w[refill] = y1[queued:queued + k] @ a1.T
         queued += k
         for j in ended[k:][::-1]:  # the other finished slots, highest first
             live -= 1
-            for s in (slot_row, slot_z, slot_steps, slot_w):
+            for s in (slot_row, slot_w):
                 s[j] = s[live]
     return Preimages(z, iterations, status)
 

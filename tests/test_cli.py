@@ -181,6 +181,20 @@ def test_embed_rejects_non_finite_cells(tmp_path, capsys, cell, sigma):
     assert not (out / "manifest.json").exists()
 
 
+def test_embed_rejects_a_fit_with_no_component(tmp_path, capsys):
+    # Identical rows centre to a zero kernel matrix; a 5 x 0 features file
+    # would be one that classify and preimage cannot read.
+    same = tmp_path / "same.csv"
+    write_csv_matrix(np.ones((5, 3)), same)
+    out = tmp_path / "out"
+    assert main(["embed", "--method", "kpca", "--sigma", "1",
+                 "--input", str(same), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {same}: kernel PCA retained no component "
+        f"(the centred kernel matrix is numerically zero)\n")
+    assert not out.exists()
+
+
 def test_classify_identical_train_test(tmp_path):
     data = gen_spheres(tmp_path, n=40)
     embed_out = tmp_path / "embed"

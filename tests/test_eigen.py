@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,7 +242,7 @@ def test_solve_centres_its_matrix(n):
 
 @pytest.mark.parametrize("n", [150, 30], ids=["krylov", "eigh"])
 def test_top_m_never_writes_its_input(n):
-    # The solver may centre its matrix in place, so sym_eig hands it a copy.
+    # The eigh path centres in place only for a nonzero c; sym_eig's is zero.
     a = psd_with_gap(11, n)
     expected = sym_eig(a.copy(), 2)
     frozen = a.copy()
@@ -251,6 +253,23 @@ def test_top_m_never_writes_its_input(n):
         assert np.array_equal(given, before)
         assert np.array_equal(dec.values, expected.values)
         assert np.array_equal(dec.vectors, expected.vectors)
+
+
+def test_top_m_holds_no_copy_of_its_input():
+    # Block Lanczos only reads a, so a top-m call allocates thin blocks, not
+    # a second n x n array.
+    n = 1500
+    q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((n, 12)))
+    a = (q * 0.6 ** np.arange(12)) @ q.T
+    a = (a + a.T) / 2.0
+    assert eigen._krylov_top(a, np.zeros(n), 2) is not None
+    tracemalloc.start()
+    try:
+        sym_eig(a, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
 
 
 @pytest.mark.parametrize("m", [0, 31, -1])

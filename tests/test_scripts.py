@@ -1,5 +1,6 @@
 """The experiment scripts, run as a user runs them."""
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,15 +24,24 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = ROOT / "data" / "landmarks"
 
 
-def test_asm_sweeps_script_renders_the_library_sweeps(tmp_path):
+def run_script(name, *args):
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning",
-         str(ROOT / "scripts" / "run_asm_sweeps.py"), "--features", "1",
-         "--out", str(tmp_path)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "feature 1: max landmark displacement between methods" in proc.stdout
+    return proc.stdout
+
+
+def percent(text, pattern):
+    match = re.search(pattern + r"\s*([0-9.]+)%", text)
+    assert match, text
+    return float(match.group(1))
+
+
+def test_asm_sweeps_script_renders_the_library_sweeps(tmp_path):
+    out = run_script("run_asm_sweeps.py", "--features", "1", "--out", str(tmp_path))
+    assert "feature 1: max landmark displacement between methods" in out
 
     # The library's fit -> sweep -> render path: the strips the script gets
     # through the CLI must not drift from it.
@@ -51,3 +61,18 @@ def test_asm_sweeps_script_renders_the_library_sweeps(tmp_path):
         manifest = json.loads((strip / "manifest.json").read_text())
         assert manifest["subcommand"] == "asm-sweep"
         assert manifest["parameters"]["method"] == method
+
+
+def test_spheres_experiment_separates_the_shells():
+    # The paper's first experiment: two gaussian kernel features separate
+    # the shells, which linear PCA, a rotation of the input, cannot.
+    out = run_script("run_spheres_experiment.py", "--n", "400")
+    assert percent(out, r"kpca  \(2 features\): train error") == 0.0
+    assert percent(out, r"pca   \(2 features\): train error") >= 40.0
+
+
+def test_highdim_experiment_kernel_beats_dual_pca():
+    # Classes that differ only in scale: the kernel features classify the
+    # pooled test points better than the dual PCA's.
+    out = run_script("run_highdim_experiment.py", "--seeds", "2")
+    assert percent(out, r"pooled over 80 test points: pca") > percent(out, r"%, kpca")
