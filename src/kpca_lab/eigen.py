@@ -4,9 +4,9 @@ Every numerical module in the toolkit funnels its eigenproblems through
 this module so that ordering and sign conventions are fixed in exactly
 one place: eigenvalues descending with stable tie-breaking, and each
 eigenvector's entry of largest magnitude non-negative.  ``sym_eig`` checks
-that its input is square, finite and symmetric; ``kpca.fit_kpca`` hands its
-exactly symmetric Gram A and row means c to the unchecked :func:`_solve`,
-which solves the centred A - c 1^T - 1 c^T + mean(c) 1 1^T.
+that its input is square, finite and symmetric; ``kpca.fit_kpca`` hands the
+upper stripes of its exactly symmetric Gram A and its row means c to the
+unchecked :func:`_solve`, which solves A - c 1^T - 1 c^T + mean(c) 1 1^T.
 
 ``sym_eig(a)`` delegates the full decomposition to LAPACK via
 ``numpy.linalg.eigh``.  ``sym_eig(a, m)`` returns only the top ``m`` pairs,
@@ -14,16 +14,16 @@ as kernel PCA needs, by block Lanczos (a block Krylov method; Golub & Van
 Loan, *Matrix Computations*, ch. 10; Musco & Musco 2015).  From a
 fixed-seed gaussian start block the basis grows by one block per step: the
 product A Q_j of the newest block, orthogonalised twice against the whole
-basis (full reorthogonalisation).  Centring is a rank-2 term of each
-product, so A is only read.  The projected matrix Q^T A Q grows by one
-block row per step, and its Rayleigh-Ritz pairs are accepted once each
-wanted one has ``|A v - theta v| <= _RESIDUAL_RTOL * max|theta|``.  The
-newest block's remainder gives that residual without a product with A;
-one explicit n x m product certifies it at the end.  The Krylov space of
-j + 1 blocks contains the j-th iterate of subspace iteration from the same
-start block, so each pass over A gains more, and its Ritz values approach
-the algebraically largest eigenvalues from below, whatever the negative
-part of the spectrum.
+basis (full reorthogonalisation).  A Q comes from A's upper stripes and
+is centred by a rank-2 term, so A is only read.  The projected matrix Q^T A Q
+grows by one block row per step, and its Rayleigh-Ritz pairs are accepted
+once each wanted one has ``|A v - theta v| <= _RESIDUAL_RTOL * max|theta|``.
+The newest block's remainder gives that residual without a product with
+A; one explicit n x m product certifies it at the end.  The Krylov space
+of j + 1 blocks contains the j-th iterate of subspace iteration from the
+same start block, so each pass over A gains more, and its Ritz values
+approach the algebraically largest eigenvalues from below, whatever the
+negative part of the spectrum.
 
 The block has ``m`` columns, never fewer: a Krylov space built from b
 start vectors holds at most b vectors of any one eigenspace, so a
@@ -33,9 +33,9 @@ the next distinct value in place of the second copy.
 The basis is capped at ``_MAX_STEPS`` blocks and n / 2 columns
 (:func:`_basis_cap` has the cost argument): on the gaussian Grams of the
 benchmark a thin block certifies within 18 steps, and a failed attempt
-costs at most about one more eigh.  When the cap is reached uncertified,
-or when n is too small against the block for ``_MIN_STEPS`` steps, the
-top-m call runs full ``eigh`` and then equals ``sym_eig(a)`` truncated.
+costs about two eighs.  Uncertified at the cap, or with n too small for
+``_MIN_STEPS`` steps, it runs ``eigh`` of :func:`_assemble`'s table (peak:
+stripes, table, eigh workspace) and equals ``sym_eig(a)`` truncated.
 ``pca.fit_pca_dual`` keeps the full solve: the dual Gram of wide data has
 a flat tail after its few signal axes, where the Krylov solve is no faster
 than ``eigh``.
@@ -118,24 +118,40 @@ def _basis_cap(n: int, b: int) -> int:
     the n^2 entries), ~12 n k b flops of reorthogonalisation and ~10 k^3
     for the projected eigh; eigh costs ~10 n^3.  Within the cap the passes
     total at most n^3, the reorthogonalisation 1.5 n^3 and the projected
-    solves 10 (n / 2)^3 * _MAX_STEPS / 4 = 10 n^3, so a failed attempt
-    costs at most about one more eigh.  A thin block costs far less (b=2,
-    n=3000 on a 2-core Intel Xeon with OpenBLAS: 32 passes of ~5 ms
-    against 3.2 s for eigh).
+    solves 10 (n / 2)^3 * _MAX_STEPS / 4 = 10 n^3.  Measured, a failed one
+    costs two eighs: 187-193 ms against 101-103 ms on an 800-row linear
+    Gram at b=9; a thin block far less (b=2, n=3000: 32 passes of ~5 ms
+    against 3.2 s for eigh; 2-core Intel Xeon with OpenBLAS).
     """
     return min(n // 2, _MAX_STEPS * b)
 
 
-def _krylov_top(a: np.ndarray, c: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _assemble(stripes: list) -> np.ndarray:
+    """The exactly symmetric table of upper stripes, each copied and mirrored; one is the table."""
+    if len(stripes) == 1:
+        return stripes[0][2]
+    n = sum(i1 - i0 for i0, i1, _ in stripes)
+    out = np.empty((n, n))
+    for i0, i1, s in stripes:
+        out[i0:i1, i0:] = s
+        out[i1:, i0:i1] = s[:, i1 - i0:].T
+    return out
+
+
+def _krylov_top(stripes: list, c: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Top-m Ritz pairs of :func:`_solve`'s matrix by block Lanczos, or None if uncertified."""
-    n = a.shape[0]
+    n = stripes[0][2].shape[1]
     cap = _basis_cap(n, m)
 
     def times(q):
-        # (Q^T A)^T = A Q for a symmetric A, read row by row: up to twice as
-        # fast as A @ Q for a thin Q.  Less the centring's rank-2 term.
-        s = q.sum(axis=0)
-        return (q.T @ a).T - np.outer(c, s) - (c @ q - c.mean() * s)
+        # The rank-2 term, then each stripe S adds S Q[i0:] to its rows and,
+        # right of its diagonal block, (Q[i0:i1]^T S)^T to the later rows.
+        t = q.sum(axis=0)
+        out = -np.outer(c, t) - (c @ q - c.mean() * t)
+        for i0, i1, s in stripes:
+            out[i0:i1] += s @ q[i0:]
+            out[i1:] += (q[i0:i1].T @ s[:, i1 - i0:]).T
+        return out
 
     basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, m)))
     block = basis
@@ -190,20 +206,22 @@ def sym_eig(a: np.ndarray, m: int | None = None) -> EigenDecomposition:
         return _canonical(*np.linalg.eigh(a))
     if not 1 <= m <= a.shape[0]:
         raise ValueError(f"m={m} outside [1, n] = [1, {a.shape[0]}]")
-    return _solve(a, np.zeros(a.shape[0]), m)
+    return _solve([(0, a.shape[0], a)], np.zeros(a.shape[0]), m)
 
 
-def _solve(a: np.ndarray, c: np.ndarray, m: int) -> EigenDecomposition:
+def _solve(stripes: list, c: np.ndarray, m: int) -> EigenDecomposition:
     """Top ``m`` pairs of A - c 1^T - 1 c^T + mean(c) 1 1^T, unchecked.
 
-    ``a`` is finite and symmetric, ``c`` finite.  Block Lanczos only reads
-    ``a``; the ``eigh`` path centres it in place when ``c`` is nonzero,
-    bit-identically to ``kernels.center_gram`` when c holds its row means.
+    A (finite, symmetric) comes as upper stripes (i0, i1, rows [i0, i1) from
+    column i0), a full A as (0, n, A); ``c`` is finite.  Block Lanczos only
+    reads them; eigh centres :func:`_assemble`'s table in place for nonzero
+    ``c``, bit-identically to ``kernels.center_gram`` when c holds row means.
     """
-    if _basis_cap(a.shape[0], m) >= _MIN_STEPS * m:
-        top = _krylov_top(a, c, m)
+    if _basis_cap(stripes[0][2].shape[1], m) >= _MIN_STEPS * m:
+        top = _krylov_top(stripes, c, m)
         if top is not None:
             return _canonical(*top)
+    a = _assemble(stripes)
     if c.any():
         a -= c[:, None]
         a -= c

@@ -18,11 +18,10 @@ offset and power) runs on a block while it is still in cache.  A caller
 that contracts each block, as the transform does, never holds the T x N
 table.
 
-Self tables, all built by :func:`gram_with_means`, take each stripe of
-rows against the rows from its own on, written in place.  The stripe's
-diagonal block is averaged with its transpose and the rest is mirrored by
-copy, so the table is exactly symmetric by construction, and every later
-step is elementwise.
+Self tables, all built by :func:`gram_with_means`, are upper stripes of
+rows against the rows from their own on, packed in one buffer of about
+N^2 / 2 entries.  Diagonal blocks are averaged with their transposes, so
+``eigen._assemble`` mirrors them into an exactly symmetric full table.
 
 Every public function of the package that takes a matrix of rows (here
 both operands of :func:`kernel_matrix` and the centring inputs) checks it
@@ -37,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigen import _assemble
 
 # The KernelSpec fields each kind does not read; construction resets them to
 # their defaults.
@@ -215,18 +215,19 @@ class PreparedRows:
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise kernel table: entry [i, j] = kernel(a_i, b_j).
 
-    The table is the only N x M array allocated.  When ``a`` and ``b`` are
-    the same object it is the exactly symmetric self table of
-    :func:`gram_with_means`, with a gaussian diagonal exactly 1.  Otherwise
-    ``b`` is prepared once as :class:`PreparedRows`, and each block of its
-    :meth:`~PreparedRows.blocks` of ``a`` is finished in place and copied
-    into its slice of the table.  Both operands are checked by
-    :func:`_rows` as ``a`` and ``b``; ``b`` must have the width of ``a``.
+    When ``a`` and ``b`` are the same object it is ``eigen._assemble`` of
+    the stripes of :func:`gram_with_means`: exactly symmetric, with a
+    gaussian diagonal exactly 1.  Otherwise the table is the only N x M
+    array allocated: ``b`` is prepared once as :class:`PreparedRows`, and
+    each block of its :meth:`~PreparedRows.blocks` of ``a`` is finished in
+    place and copied into its slice of the table.  Both operands are
+    checked by :func:`_rows` as ``a`` and ``b``; ``b`` must have the width
+    of ``a``.
     """
     same = a is b
     a = _rows(a, "a")
     if same:
-        return gram_with_means(spec, a)[0]
+        return _assemble(gram_with_means(spec, a)[0])
     b = _rows(b, "b", a.shape[1])
     side = PreparedRows(spec, b)
     out = np.empty((a.shape[0], b.shape[0]))
@@ -236,28 +237,30 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def gram_with_means(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel table of the rows ``x`` with themselves, and its row means.
+def gram_with_means(spec: KernelSpec, x: np.ndarray) -> tuple[list, np.ndarray]:
+    """Upper stripes of the kernel table of the rows ``x`` with themselves, and its row means.
 
-    The table is the only N x N array.  Each stripe of :func:`block_rows`
-    rows [i0, i1) is one product of ``PreparedRows(spec, x)``, written into
-    ``out[i0:i1, i0:]``.  Its diagonal block gets a zero diagonal for
-    distances and is halved and added to its transpose, so it is exactly
-    symmetric (halved first, so no entry the table can hold overflows);
-    the stripe is finished in place, a zero exponent to exactly 1, and
-    mirrored below the diagonal.  Its row means, taken then, are the column
-    means of the symmetric table, all that a fitted model keeps of it.
-    Its callers check ``x`` with :func:`_rows`, so it is not checked here.
+    Stripe ``(i0, i1, s)`` holds rows [i0, i1) from column i0 on, views of
+    one packed buffer of about N^2 / 2 entries, as ``eigen._solve`` reads
+    them.  Each stripe of :func:`block_rows` rows is one product of
+    ``PreparedRows(spec, x)``, written in place.  Its diagonal block gets a
+    zero diagonal for distances and is halved and added to its transpose,
+    so it is exactly symmetric (halved first, so no entry the table can
+    hold overflows); the stripe is finished in place, a zero exponent to
+    exactly 1.  A row's mean sums its stripe row and its column in the
+    earlier stripes, taken while each is in cache: the column means of the
+    table, all that a fitted model keeps of it.  Its callers check ``x``
+    with :func:`_rows`, so it is not checked here.
     """
     x = np.ascontiguousarray(x, dtype=float)
     side = PreparedRows(spec, x)
-    n = x.shape[0]
-    out = np.empty((n, n))
-    means = np.empty(n)
-    step = block_rows(*x.shape)
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        stripe = out[i0:i1, i0:]
+    n, step = x.shape[0], block_rows(*x.shape)
+    bounds = [(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
+    packed = np.empty(sum((i1 - i0) * (n - i0) for i0, i1 in bounds))
+    stripes, sums, at = [], np.zeros(n), 0
+    for i0, i1 in bounds:
+        stripe = packed[at:at + (i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
+        at += stripe.size
         np.matmul(side.left(x[i0:i1]), side.right[i0:].T, out=stripe)
         block = stripe[:, :i1 - i0]
         if spec.kind == "gaussian":
@@ -265,9 +268,10 @@ def gram_with_means(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.nda
         block *= 0.5
         block += block.T
         side.finish(stripe)
-        out[i1:, i0:i1] = stripe[:, i1 - i0:].T
-        out[i0:i1].mean(axis=1, out=means[i0:i1])
-    return out, means
+        sums[i0:i1] += stripe.sum(axis=1)
+        sums[i1:] += stripe[:, i1 - i0:].sum(axis=0)
+        stripes.append((i0, i1, stripe))
+    return stripes, np.divide(sums, n, out=sums)
 
 
 def center_gram(k: np.ndarray) -> np.ndarray:
@@ -277,10 +281,10 @@ def center_gram(k: np.ndarray) -> np.ndarray:
     via row/column means.  Output rows and columns sum to ~0 and the result
     is symmetric to rounding.  The result is the only N x N array allocated.
 
-    Reference form: :func:`kpca.fit_kpca` hands its uncentred table and row
-    means to ``eigen._solve``, which on its ``eigh`` path applies these
-    operations in place, in this order, bit-identically, and on its block
-    Lanczos path applies them to each product as a rank-2 term.
+    Reference form: :func:`kpca.fit_kpca` hands its uncentred stripes and
+    row means to ``eigen._solve``, whose ``eigh`` path applies these steps
+    in place, in this order, bit-identically, to the assembled table, and
+    block Lanczos to each product as a rank-2 term.
     """
     k = _rows(k, "k")
     if k.shape[0] != k.shape[1]:

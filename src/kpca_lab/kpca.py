@@ -131,7 +131,7 @@ class Preimages(NamedTuple):
 def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     """Fit kernel PCA with up to ``m`` components.
 
-    Steps: build the kernel matrix and its column means
+    Steps: build the upper stripes of the kernel matrix and its column means
     (:func:`kernels.gram_with_means`), reject it if a row mean is not finite,
     hand both to the unchecked :func:`eigen._solve` for the top ``m``
     eigenpairs of the centred matrix, keep the leading ones with raw
@@ -147,24 +147,18 @@ def fit_kpca(x: np.ndarray, spec: KernelSpec, m: int) -> KpcaModel:
     n = x.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"components M={m} outside [1, N] = [1, {n}]")
-    k, col_means = gram_with_means(spec, x)
+    stripes, col_means = gram_with_means(spec, x)
     if not np.isfinite(col_means).all():
         raise ValueError(f"kernel matrix row {np.isfinite(col_means).argmin()} is not finite")
-    dec = _solve(k, col_means, m)
+    dec = _solve(stripes, col_means, m)
     raw = dec.values
     if not np.isfinite(raw).all():  # the centring overflowed
         raise ValueError("centred kernel matrix is not finite")
     cutoff = DROP_RTOL * max(raw[0], 0.0)
     r = int(np.count_nonzero(raw[:m] > cutoff))
     coeffs = np.ascontiguousarray(dec.vectors[:, :r] / np.sqrt(raw[:r]))
-    values = raw[:r] / n
-    return KpcaModel(
-        training=x.copy(),
-        spec=spec,
-        coefficients=coeffs,
-        eigenvalues=values,
-        train_col_means=col_means,
-    )
+    return KpcaModel(training=x.copy(), spec=spec, coefficients=coeffs,
+                     eigenvalues=raw[:r] / n, train_col_means=col_means)
 
 
 def kpca_transform(model: KpcaModel, q: np.ndarray) -> np.ndarray:

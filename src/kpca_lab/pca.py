@@ -64,9 +64,10 @@ def fit_pca(x: np.ndarray, m: int) -> PcaModel:
 def fit_pca_dual(x: np.ndarray, m: int) -> PcaModel:
     """Fit PCA through the N x N Gram ``xc @ xc.T`` of the centred rows.
 
-    :func:`fit_pca` takes this route for D > N, with the same contract.  The
-    r eigenvectors above the rank cutoff map to the basis in one product
-    ``xc.T @ V[:, :r]``, normalised and signed by the rule of :mod:`eigen`;
+    :func:`fit_pca` takes this route for D > N, with the same contract.  It
+    drops ``xc`` before the eigensolve and the Gram after it; the r
+    eigenvectors above the rank cutoff map to the basis in one product
+    ``(x - mean).T @ V[:, :r]``, normalised and signed by the rule of :mod:`eigen`;
     the other M - r components get eigenvalue 0 and a deterministic
     orthonormal completion vector, so the basis stays orthonormal at full M.
     """
@@ -74,10 +75,13 @@ def fit_pca_dual(x: np.ndarray, m: int) -> PcaModel:
     n, d = x.shape
     mean = x.mean(axis=0)
     xc = x - mean
-    dec = sym_eig(xc @ xc.T)
+    gram = xc @ xc.T
+    del xc
+    dec = sym_eig(gram)
+    del gram
     raw = dec.values
     r = int(np.count_nonzero(raw[:m] > _RANK_RTOL * max(raw[0], 0.0)))
-    lead = xc.T @ dec.vectors[:, :r]
+    lead = (x - mean).T @ dec.vectors[:, :r]
     lead /= np.linalg.norm(lead, axis=0)
     basis = np.hstack([_sign_columns(lead), np.zeros((d, m - r))])
     for k in range(r, m):

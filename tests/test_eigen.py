@@ -13,6 +13,11 @@ def random_symmetric(rng, n):
     return (a + a.T) / 2.0
 
 
+def whole(a):
+    """A full symmetric matrix as the one upper stripe the solver reads."""
+    return [(0, len(a), a)]
+
+
 def test_identity_matrix():
     dec = sym_eig(np.eye(3))
     assert np.allclose(dec.values, [1.0, 1.0, 1.0])
@@ -134,7 +139,7 @@ def psd_with_gap(seed, n):
 @pytest.mark.parametrize("seed, m", [(0, 1), (1, 2), (2, 5), (3, 9)])
 def test_top_m_matches_full_eigh(seed, m):
     a = psd_with_gap(seed, 150)
-    assert eigen._krylov_top(a, np.zeros(len(a)), m) is not None  # block Lanczos, not the fallback
+    assert eigen._krylov_top(whole(a), np.zeros(len(a)), m) is not None  # block Lanczos, not the fallback
     top = sym_eig(a, m)
     full = sym_eig(a)
     assert top.values.shape == (m,)
@@ -147,7 +152,7 @@ def test_top_m_matches_full_eigh(seed, m):
 
 
 def test_top_m_zero_matrix():
-    assert eigen._krylov_top(np.zeros((60, 60)), np.zeros(60), 3) is not None
+    assert eigen._krylov_top(whole(np.zeros((60, 60))), np.zeros(60), 3) is not None
     dec = sym_eig(np.zeros((60, 60)), 3)
     assert np.array_equal(dec.values, np.zeros(3))
     assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(3), atol=1e-12)
@@ -161,7 +166,7 @@ def test_top_m_rank_deficient_gram(n, d, m):
     x -= x.mean(axis=0)
     a = x @ x.T
     a = (a + a.T) / 2.0
-    assert eigen._krylov_top(a, np.zeros(len(a)), m) is not None
+    assert eigen._krylov_top(whole(a), np.zeros(len(a)), m) is not None
     full = sym_eig(a)
     dec = sym_eig(a, m)
     assert np.abs(dec.values - full.values[:m]).max() <= 1e-12 * full.values[0]
@@ -179,7 +184,7 @@ def test_top_m_negative_block_cannot_hide_wanted_pair():
     w = np.concatenate([[1.0, 0.9], -np.arange(11.0, 21.0), np.full(188, 0.01)])
     a = (q * w) @ q.T
     a = (a + a.T) / 2.0
-    assert eigen._krylov_top(a, np.zeros(len(a)), 2) is not None
+    assert eigen._krylov_top(whole(a), np.zeros(len(a)), 2) is not None
     dec = sym_eig(a, 2)
     assert np.allclose(dec.values, [1.0, 0.9], atol=1e-12)
 
@@ -187,11 +192,11 @@ def test_top_m_negative_block_cannot_hide_wanted_pair():
 def test_top_m_falls_back_when_sweeps_run_out(monkeypatch):
     a = psd_with_gap(4, 120)
     full = sym_eig(a)
-    assert eigen._krylov_top(a, np.zeros(len(a)), 3) is not None
+    assert eigen._krylov_top(whole(a), np.zeros(len(a)), 3) is not None
     # One block only: the cap is reached before the pairs certify.
     monkeypatch.setattr(eigen, "_basis_cap", lambda n, b: b)
     monkeypatch.setattr(eigen, "_MIN_STEPS", 1)
-    assert eigen._krylov_top(a, np.zeros(len(a)), 3) is None
+    assert eigen._krylov_top(whole(a), np.zeros(len(a)), 3) is None
     dec = sym_eig(a, 3)
     assert np.array_equal(dec.values, full.values[:3])
     assert np.array_equal(dec.vectors, full.vectors[:, :3])
@@ -229,8 +234,8 @@ def test_solve_centres_its_matrix(n):
     work = a.copy()
     if n == 150:
         work.setflags(write=False)
-        assert eigen._krylov_top(work, c, 3) is not None
-    dec = eigen._solve(work, c, 3)
+        assert eigen._krylov_top(whole(work), c, 3) is not None
+    dec = eigen._solve(whole(work), c, 3)
     if n == 150:
         assert np.array_equal(work, a)
         assert np.abs(dec.values - full.values[:3]).max() <= 1e-12 * full.values[0]
@@ -262,7 +267,7 @@ def test_top_m_holds_no_copy_of_its_input():
     q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((n, 12)))
     a = (q * 0.6 ** np.arange(12)) @ q.T
     a = (a + a.T) / 2.0
-    assert eigen._krylov_top(a, np.zeros(n), 2) is not None
+    assert eigen._krylov_top(whole(a), np.zeros(n), 2) is not None
     tracemalloc.start()
     try:
         sym_eig(a, 2)
@@ -295,7 +300,7 @@ def test_top_m_returns_every_copy_of_a_repeated_eigenvalue(top, m, n):
     # the multiplicity would find only some of the copies.
     a = with_spectrum(9, top, n)
     if n == 200:
-        assert eigen._krylov_top(a, np.zeros(len(a)), m) is not None
+        assert eigen._krylov_top(whole(a), np.zeros(len(a)), m) is not None
     full = sym_eig(a)
     dec = sym_eig(a, m)
     assert np.abs(dec.values - full.values[:m]).max() <= 1e-12

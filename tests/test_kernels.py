@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kpca_lab import kernels
+from kpca_lab import eigen, kernels
 from kpca_lab.kernels import (
     KernelSpec,
     center_cross,
@@ -316,33 +316,49 @@ def test_tables_bit_equal_reference_formulas(monkeypatch, spec, offset, rows_per
 @pytest.mark.parametrize("offset", [0.0, 1e3], ids=["origin", "far"])
 def test_self_table_tile_edges(monkeypatch, spec, offset):
     # 300 rows in stripes of 1, 7 and 64 rows; the last two end in a partial
-    # stripe.  Every stripe size gives an exactly symmetric table, a gaussian
-    # diagonal exactly 1 and bit-equal row means; sizes differ only where an
-    # entry is averaged with its mirror in a diagonal block at one size and
-    # not at the other, or BLAS rounds a product of another shape
-    # otherwise, by at most 8 eps times the table's largest entry.
+    # stripe.  Every stripe size gives an exactly symmetric table and a
+    # gaussian diagonal exactly 1; sizes differ only where an entry is
+    # averaged with its mirror in a diagonal block at one size and not at
+    # the other, or BLAS rounds a product of another shape otherwise, by at
+    # most 8 eps times the table's largest entry.  A row mean sums its
+    # stripe row and its column in each earlier stripe, so it leaves the
+    # table's own row mean by rounding of that order: at most 4.3 eps of the
+    # largest entry here, bounded at 8.
     rng = np.random.default_rng(25)
     x = rng.standard_normal((300, 7)) * 3.0 + offset
     expected = explicit_table(spec, x, x)
-    default = kernels.gram_with_means(spec, x)[0]
+    default = kernel_matrix(spec, x, x)
+    eps = np.finfo(float).eps
     for rows in (1, 7, 64):
         patch_stripe(monkeypatch, rows)
-        table, means = kernels.gram_with_means(spec, x)
+        stripes, means = kernels.gram_with_means(spec, x)
+        assert len(stripes) == -(-300 // rows)
+        table = eigen._assemble(stripes)
         assert np.array_equal(table, table.T)
-        assert np.array_equal(means, table.mean(axis=1))
+        assert np.abs(means - table.mean(axis=1)).max() <= 8 * eps * np.abs(table).max()
         if spec.kind == "gaussian":
             assert np.array_equal(np.diag(table), np.ones(300))
             assert (np.abs(table - expected) <= 1e-13 * expected).all()
         else:
             assert np.abs(table - expected).max() <= 1e-13 * np.abs(expected).max()
-        assert np.abs(table - default).max() <= 8 * np.finfo(float).eps * np.abs(default).max()
+        assert np.abs(table - default).max() <= 8 * eps * np.abs(default).max()
+
+
+def test_self_table_of_no_rows_is_empty():
+    # No rows give no stripes, and their assembled table is 0 x 0.
+    x, spec = np.zeros((0, 3)), KernelSpec.linear()
+    stripes, means = kernels.gram_with_means(spec, x)
+    assert stripes == [] and means.shape == (0,)
+    assert kernel_matrix(spec, x, x).shape == (0, 0)
 
 
 def test_gram_with_means_peak_memory():
-    # The table is the only N x N array, and each stripe's product is
-    # written into it: the copy of a stripe's square diagonal block is the
-    # largest temporary, with O(N D) for the prepared rows.  A stripe-sized
-    # temporary (174 x 1500 entries here) would break the bound.
+    # The packed upper stripes, sum (i1 - i0)(n - i0) entries or about
+    # N^2 / 2, are the only large array, and each stripe's product is
+    # written into its place: the copy of a stripe's square diagonal block
+    # is the largest temporary, with O(N D) for the prepared rows.  A
+    # stripe-sized temporary (174 x 1500 entries here) would break the
+    # bound, and so would a full N x N table.
     n, d = 1500, 3
     x = np.random.default_rng(26).standard_normal((n, d))
     spec = KernelSpec.gaussian(1.0)
@@ -353,7 +369,10 @@ def test_gram_with_means_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (n * n + kernels.block_rows(n, d)**2 + 8 * n * (d + 2))
+    step = kernels.block_rows(n, d)
+    packed = sum(min(step, n - i0) * (n - i0) for i0 in range(0, n, step))
+    assert packed < 0.6 * n * n
+    assert peak <= 8 * (packed + step**2 + 8 * n * (d + 2))
 
 
 @pytest.mark.parametrize("spec", [None, KernelSpec.gaussian(2.5)], ids=["sq_dists", "gaussian"])

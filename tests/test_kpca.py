@@ -102,7 +102,8 @@ def test_top_m_fit_matches_full_eigh_fit(monkeypatch, m):
     monkeypatch.setattr(eigen, "_krylov_top", spy)
     top = fit_kpca(x, spec, m)
     assert solved and solved[0] is not None  # block Lanczos, not the fallback
-    monkeypatch.setattr(kpca, "_solve", lambda a, c, m: sym_eig(center_gram(a)))
+    monkeypatch.setattr(kpca, "_solve",
+                        lambda stripes, c, m: sym_eig(center_gram(eigen._assemble(stripes))))
     full = fit_kpca(x, spec, m)
     assert top.n_components == full.n_components == m
     assert np.abs(top.eigenvalues - full.eigenvalues).max() <= 1e-12 * full.eigenvalues[0]
@@ -862,11 +863,13 @@ def test_select_sigma_rejects_non_finite_data(entry, bad):
 
 
 def test_train_col_means_are_uncentered_gram_means(monkeypatch, tmp_path):
-    # The means are taken stripe by stripe as the self table is built, once
-    # each stripe is complete; at every stripe size (one 40-row stripe, or
-    # stripes of 16 and 7 rows) they equal the whole table's, in the fitted
-    # model and in a loaded one.
+    # The means are taken stripe by stripe as the self table is built: a
+    # row's own stripe row and its column in each earlier stripe.  One
+    # 40-row stripe gives the whole table's row means bit for bit; stripes
+    # of 16 and 7 rows add in another order, within 8 eps of the table's
+    # largest entry.  The loaded model keeps them bit for bit.
     rng = np.random.default_rng(36)
+    eps = np.finfo(float).eps
     x = rng.standard_normal((40, 7)) * 3.0 + 1.0
     for rows in (None, 16, 7):
         if rows is not None:
@@ -875,7 +878,10 @@ def test_train_col_means_are_uncentered_gram_means(monkeypatch, tmp_path):
                      KernelSpec.polynomial(2, 1.0)):
             model = fit_kpca(x, spec, 3)
             k = kernel_matrix(spec, x, x)
-            assert np.array_equal(model.train_col_means, k.mean(axis=1))
+            if rows is None:
+                assert np.array_equal(model.train_col_means, k.mean(axis=1))
+            assert (np.abs(model.train_col_means - k.mean(axis=1)).max()
+                    <= 8 * eps * np.abs(k).max())
             assert np.allclose(model.train_col_means, k.mean(axis=0), rtol=1e-14)
             save_model(model, tmp_path / "m.kpml")
             assert np.array_equal(load_model(tmp_path / "m.kpml").train_col_means,
@@ -885,8 +891,10 @@ def test_train_col_means_are_uncentered_gram_means(monkeypatch, tmp_path):
 @_KINDS
 @_BLOCKS
 def test_fit_solves_its_uncentred_table_and_row_means(monkeypatch, kind, rows_per_block):
-    # The solver centres the table itself, so the fit hands it the table
-    # and row means of gram_with_means untouched.
+    # The solver centres the table itself, so the fit hands it the stripes
+    # and row means of gram_with_means untouched: the stripes assemble to
+    # kernel_matrix's self table, and the means are its row means to 8 eps
+    # of its largest entry (several stripes add in another order).
     x = small_spheres()
     spec = {"linear": KernelSpec.linear,
             "polynomial": lambda: KernelSpec.polynomial(2, 1.0),
@@ -895,33 +903,35 @@ def test_fit_solves_its_uncentred_table_and_row_means(monkeypatch, kind, rows_pe
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows_per_block * len(x))
     seen = []
 
-    def spy(a, c, m):
-        seen.append((a.copy(), c.copy()))
-        return eigen._solve(a, c, m)
+    def spy(stripes, c, m):
+        seen.append((eigen._assemble(stripes).copy(), c.copy()))
+        return eigen._solve(stripes, c, m)
 
     monkeypatch.setattr(kpca, "_solve", spy)
     fit_kpca(x, spec, 3)
     k = kernel_matrix(spec, x, x)
     assert np.array_equal(seen[0][0], k)
-    assert np.array_equal(seen[0][1], k.mean(axis=1))
+    assert np.array_equal(seen[0][1], kernels.gram_with_means(spec, x)[1])
+    assert np.abs(seen[0][1] - k.mean(axis=1)).max() <= 8 * np.finfo(float).eps * np.abs(k).max()
 
 
 @_KINDS
 @pytest.mark.parametrize("n", [300, 20], ids=["krylov", "eigh"])
 def test_fit_solves_its_gram_unchecked_and_bit_identically(monkeypatch, kind, n):
     # The fit's uncentred Gram is exactly symmetric, so the solve skips
-    # sym_eig's four reads of it; the answer is _solve's on the same table
+    # sym_eig's four reads of it; the answer is _solve's on the same stripes
     # and row means.  eigh solves the table centred in place as center_gram
     # centres it, so there the answer is also sym_eig's of center_gram's
-    # table; block Lanczos centres each product instead, which rounds
-    # otherwise, so there it meets the tolerances of the top-m fit test.
+    # table (one stripe here, so the row means are the table's bit for bit);
+    # block Lanczos centres each product instead, which rounds otherwise, so
+    # there it meets the tolerances of the top-m fit test.
     x = gen_two_spheres(SpheresParams(n=n, seed=3)).features
     spec = {"linear": KernelSpec.linear,
             "polynomial": lambda: KernelSpec.polynomial(2, 1.0),
             "gaussian": lambda: KernelSpec.gaussian(select_sigma(x))}[kind]()
     m = 2
     k = kernel_matrix(spec, x, x)
-    dec = eigen._solve(k.copy(), k.mean(axis=1), m)
+    dec = eigen._solve(*kernels.gram_with_means(spec, x), m)
     full = sym_eig(center_gram(k), m)
     if n == 300:
         assert np.abs(dec.values - full.values).max() <= 1e-12 * full.values[0]
@@ -951,17 +961,20 @@ def test_fit_solves_its_gram_unchecked_and_bit_identically(monkeypatch, kind, n)
 
 
 def test_fit_never_writes_its_table_on_the_lanczos_path(monkeypatch):
-    # Block Lanczos only reads the table, so a read-only one fits, and to
-    # the same bits as a writable one.
+    # Block Lanczos only reads the stripes, so read-only ones fit, and to
+    # the same bits as writable ones.  Stripes of 64 rows: 5, the last of 44.
     x = gen_two_spheres(SpheresParams(n=300, seed=3)).features
     spec = KernelSpec.gaussian(select_sigma(x))
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 64 * 300)
     expected = fit_kpca(x, spec, 2)
     build = kpca.gram_with_means
 
     def read_only(spec, x):
-        k, means = build(spec, x)
-        k.setflags(write=False)
-        return k, means
+        stripes, means = build(spec, x)
+        assert len(stripes) == 5
+        for _, _, s in stripes:
+            s.setflags(write=False)
+        return stripes, means
 
     solved = []
     iterate = eigen._krylov_top
@@ -972,6 +985,97 @@ def test_fit_never_writes_its_table_on_the_lanczos_path(monkeypatch):
     assert solved and solved[0] is not None
     assert np.array_equal(model.eigenvalues, expected.eigenvalues)
     assert np.array_equal(model.coefficients, expected.coefficients)
+
+
+@_KINDS
+@pytest.mark.parametrize("rows, count", [(None, 1), (200, 2), (7, 43)],
+                         ids=["1-stripe", "2-stripes", "43-stripes"])
+def test_solve_on_stripes_matches_the_whole_table(monkeypatch, kind, rows, count):
+    # The Lanczos product reads each upper stripe twice: S Q for its own rows
+    # and S^T Q, right of its diagonal block, for the later rows.  That
+    # rounds otherwise than the whole table's product, within the top-m
+    # tolerances.  300 rows in one stripe, in stripes of 200 and 100, and in
+    # 42 stripes of 7 and a last of 6; all read-only.
+    x = gen_two_spheres(SpheresParams(n=300, seed=3)).features
+    spec = {"linear": KernelSpec.linear,
+            "polynomial": lambda: KernelSpec.polynomial(2, 1.0),
+            "gaussian": lambda: KernelSpec.gaussian(select_sigma(x))}[kind]()
+    if rows is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows * 300)
+    stripes, means = kernels.gram_with_means(spec, x)
+    assert len(stripes) == count
+    assert stripes[-1][1] - stripes[-1][0] == 300 - (count - 1) * (rows or 300)
+    whole = eigen._assemble(stripes).copy()
+    for _, _, s in stripes:
+        s.setflags(write=False)
+    assert eigen._krylov_top(stripes, means, 2) is not None
+    dec = eigen._solve(stripes, means, 2)
+    ref = eigen._solve([(0, 300, whole)], means, 2)
+    assert np.abs(dec.values - ref.values).max() <= 1e-12 * ref.values[0]
+    assert np.abs(dec.vectors - ref.vectors).max() <= 1e-10
+
+
+@pytest.mark.parametrize("m, share", [(1, 0.6), (2, 0.65)])
+def test_fit_holds_the_packed_stripes_not_a_full_table(monkeypatch, m, share):
+    # The fit's largest array is the packed upper stripes: sum (i1 - i0)(n - i0)
+    # entries, 0.56 N^2 in 174-row stripes at N = 1500.  Block Lanczos adds
+    # its basis, held twice while a step appends a block: at most 2 N cap
+    # entries.  That bound is below 0.6 N^2 at M = 1 and 0.65 N^2 at M = 2;
+    # a full N x N table breaks it at either M (the fit that held one read
+    # 1.03 and 1.05 N^2).
+    n = 1500
+    x = gen_two_spheres(SpheresParams(n=n, seed=3)).features
+    spec = KernelSpec.gaussian(select_sigma(x))
+    solved = []
+    iterate = eigen._krylov_top
+
+    def spy(a, c, m):
+        solved.append(iterate(a, c, m))
+        return solved[-1]
+
+    monkeypatch.setattr(eigen, "_krylov_top", spy)
+    fit_kpca(x, spec, m)
+    assert solved and solved[0] is not None  # block Lanczos, not the fallback
+    tracemalloc.start()
+    try:
+        fit_kpca(x, spec, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    step = kernels.block_rows(n, 3)
+    packed = sum(min(step, n - i0) * (n - i0) for i0 in range(0, n, step))
+    bound = 8 * (packed + 2 * n * eigen._basis_cap(n, m))
+    assert peak <= bound <= share * n * n * 8
+
+
+def test_uncertified_fit_peak_on_the_eigh_path(monkeypatch):
+    # The linear Gram of wide blobs at M = 9 does not certify within the
+    # basis cap, so eigh solves the table that eigen._assemble copies from
+    # the stripes while the fit still holds them: the packed stripes (0.63
+    # N^2 in 262-row stripes), the table and eigh's N x N vectors, and
+    # temporaries of a 2 MB block.  It read 21.2 MB here, against 16.2 MB
+    # when the fit held one full table and eigh solved it in place.
+    n = 1000
+    x = wide_blobs(n, 1000)
+    solved = []
+    iterate = eigen._krylov_top
+
+    def spy(a, c, m):
+        solved.append(iterate(a, c, m))
+        return solved[-1]
+
+    monkeypatch.setattr(eigen, "_krylov_top", spy)
+    fit_kpca(x, KernelSpec.linear(), 9)
+    assert solved == [None]
+    tracemalloc.start()
+    try:
+        fit_kpca(x, KernelSpec.linear(), 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    step = kernels.block_rows(n, 1000)
+    packed = sum(min(step, n - i0) * (n - i0) for i0 in range(0, n, step))
+    assert peak <= 8 * (packed + 2 * n * n + kernels._BLOCK_ENTRIES)
 
 
 @pytest.mark.parametrize("x, spec, message", [

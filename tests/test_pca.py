@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,22 @@ def test_fit_pca_checks_its_rows_once(monkeypatch, shape):
     monkeypatch.setattr(pca, "_data_matrix", spy)
     fit_pca(np.random.default_rng(31).standard_normal(shape), 3)
     assert len(calls) == 1
+
+
+def test_dual_fit_drops_its_centred_rows_before_the_eigensolve():
+    # The N x D centred rows are gone before sym_eig, whose own peak is the
+    # Gram and about three N x N arrays of eigh's vectors; a centred copy
+    # still alive there (N D = 3 N^2 here) breaks the bound.
+    n, d = 400, 1200
+    x = np.random.default_rng(31).standard_normal((n, d))
+    fit_pca_dual(x, 9)
+    tracemalloc.start()
+    try:
+        fit_pca_dual(x, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (4 * n * n + n * d // 2)
 
 
 def test_dual_rank_one():
